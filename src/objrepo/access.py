@@ -21,7 +21,6 @@ DENY = "deny"
 STAMP = "stamp"
 
 ACL_SCHEME_BUILTIN = "acl-v1"
-ACL_MIME = "application/x-fedora-acl+json"
 
 
 @dataclass(frozen=True)

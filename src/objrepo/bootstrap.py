@@ -14,19 +14,7 @@ from importlib import resources
 
 from .canonical import canonical_bytes
 from .errors import BadArguments
-from .typesys import (
-    ACCESS_SERVLET_TYPE_URN,
-    SERVLET_MIME,
-    SERVLET_TYPE_URN,
-    SIGNATURE_MIME,
-    SIGNATURE_TYPE_URN,
-)
-
-_KINDS = {
-    "SIGNATURE": (SIGNATURE_TYPE_URN, "signature", SIGNATURE_MIME),
-    "SERVLET": (SERVLET_TYPE_URN, "servlet", SERVLET_MIME),
-    "ACCESS_MANAGER_SERVLET": (ACCESS_SERVLET_TYPE_URN, "servlet", SERVLET_MIME),
-}
+from .kernel import BUILTIN_KINDS
 
 
 def load_recipes() -> list[dict]:
@@ -52,9 +40,9 @@ def bootstrap_types(client, recipes: list[dict] | None = None) -> dict[str, str]
     minted: dict[str, str] = {}
     for recipe in recipes:
         label, kind = recipe.get("label"), recipe.get("kind")
-        if not label or kind not in _KINDS:
+        if not label or kind not in BUILTIN_KINDS:
             raise BadArguments(f"invalid type recipe: label={label!r} kind={kind!r}")
-        type_urn, structure_id, mime = _KINDS[kind]
+        type_urn, structure_id, mime = BUILTIN_KINDS[kind]
         document = dict(recipe["document"])
         if kind != "SIGNATURE":
             implements = recipe.get("implements", "")

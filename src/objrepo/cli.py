@@ -16,6 +16,7 @@ import os
 import sys
 import time
 
+from .api import NAMING_OPS, REPOSITORY_OPS
 from .bootstrap import bootstrap_types
 from .errors import BadArguments, ObjectRepositoryError
 from .kernel import PRIMITIVE_TARGET
@@ -74,13 +75,23 @@ def _emit(args, human: str | None, payload: dict) -> None:
         print(human)
 
 
+_OPERATIONS = {op.name: op for op in REPOSITORY_OPS + NAMING_OPS}
+
+
+def _run(args, client, name: str, *values, human=str) -> int:
+    """Run one operation; --json prints the reply document the wire carries
+    for it, otherwise ``human(result)`` is printed."""
+    op = _OPERATIONS[name]
+    result = getattr(client, name)(*values)
+    _emit(args, None if result is None else human(result), op.encode(op.bind(values, {}), result))
+    return 0
+
+
 # -- obj subcommands ---------------------------------------------------------
 
 
 def _cmd_obj_create(args) -> int:
-    handle = _repo_client(args).create_object()
-    _emit(args, handle, {"handle": handle})
-    return 0
+    return _run(args, _repo_client(args), "create_object")
 
 
 def _cmd_obj_add_stream(args) -> int:
@@ -89,62 +100,52 @@ def _cmd_obj_add_stream(args) -> int:
     else:
         with open(args.file, "rb") as fh:
             content = fh.read()
-    ds_id = _repo_client(args).add_datastream(args.handle, args.mime, content)
-    _emit(args, ds_id, {"id": ds_id})
-    return 0
+    return _run(args, _repo_client(args), "add_datastream", args.handle, args.mime, content)
 
 
 def _cmd_obj_add_disseminator(args) -> int:
-    diss_id = _repo_client(args).add_disseminator(
-        args.handle, args.type, servlet=args.servlet, bindings=_parse_bindings(args.bind)
+    bindings = _parse_bindings(args.bind)
+    return _run(
+        args, _repo_client(args), "add_disseminator", args.handle, args.type, args.servlet, bindings
     )
-    _emit(args, diss_id, {"id": diss_id})
-    return 0
 
 
 def _cmd_obj_set_access(args) -> int:
     target = PRIMITIVE_TARGET if args.target.lower() == "primitive" else args.target
-    client = _repo_client(args)
+    op = "set_access_manager" if args.object.startswith("urn:") else "set_access_manager_staged"
     bindings = _parse_bindings(args.bind)
-    if args.object.startswith("urn:"):
-        am_id = client.set_access_manager(args.object, target, args.scheme, bindings)
-    else:
-        am_id = client.set_access_manager_staged(args.object, target, args.scheme, bindings)
-    _emit(args, am_id, {"id": am_id})
-    return 0
+    return _run(args, _repo_client(args), op, args.object, target, args.scheme, bindings)
 
 
 def _cmd_obj_deposit(args) -> int:
-    name = _repo_client(args).deposit(args.handle)
-    _emit(args, name, {"name": name})
-    return 0
+    return _run(args, _repo_client(args), "deposit", args.handle)
 
 
 def _cmd_obj_types(args) -> int:
-    types = _repo_client(args).list_types(args.urn)
-    _emit(args, "\n".join(types) if types else None, {"types": types})
-    return 0
+    return _run(args, _repo_client(args), "list_types", args.urn, human="\n".join)
 
 
-def _cmd_obj_methods(args) -> int:
-    methods = _repo_client(args).list_methods(args.urn, args.type)
-    lines = [
+def _methods_text(methods: list[dict]) -> str:
+    return "\n".join(
         "{}({}) -> {}".format(
             m["name"],
             ", ".join(f"{p['name']}: {p['type']}" for p in m["params"]),
             m["returns_mime"],
         )
         for m in methods
-    ]
-    _emit(args, "\n".join(lines) if lines else None, {"methods": methods})
-    return 0
+    )
+
+
+def _cmd_obj_methods(args) -> int:
+    return _run(args, _repo_client(args), "list_methods", args.urn, args.type, human=_methods_text)
+
+
+def _streams_text(streams: list[dict]) -> str:
+    return "\n".join("{id}\t{mime}\t{length}".format(**s) for s in streams)
 
 
 def _cmd_obj_streams(args) -> int:
-    streams = _repo_client(args).get_datastreams(args.urn)
-    lines = ["{id}\t{mime}\t{length}".format(**s) for s in streams]
-    _emit(args, "\n".join(lines) if lines else None, {"datastreams": streams})
-    return 0
+    return _run(args, _repo_client(args), "get_datastreams", args.urn, human=_streams_text)
 
 
 def _cmd_obj_get(args) -> int:
@@ -165,27 +166,19 @@ def _cmd_obj_get(args) -> int:
 
 
 def _cmd_obj_replicate(args) -> int:
-    _repo_client(args).replicate(args.urn, args.to)
-    _emit(args, None, {"ok": True})
-    return 0
+    return _run(args, _repo_client(args), "replicate", args.urn, args.to)
 
 
 def _cmd_obj_move(args) -> int:
-    _repo_client(args).move(args.urn, args.to)
-    _emit(args, None, {"ok": True})
-    return 0
+    return _run(args, _repo_client(args), "move", args.urn, args.to)
 
 
 def _cmd_obj_delete(args) -> int:
-    _repo_client(args).delete(args.urn)
-    _emit(args, None, {"ok": True})
-    return 0
+    return _run(args, _repo_client(args), "delete", args.urn)
 
 
 def _cmd_name_resolve(args) -> int:
-    locations = _naming_client(args).resolve(args.urn)
-    _emit(args, "\n".join(locations), {"name": args.urn, "locations": locations})
-    return 0
+    return _run(args, _naming_client(args), "resolve", args.urn, human="\n".join)
 
 
 def _cmd_bootstrap_types(args) -> int:

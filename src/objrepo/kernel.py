@@ -33,7 +33,13 @@ from .errors import (
     SignatureMismatch,
     UndepositedObject,
 )
-from .typesys import ACCESS_SERVLET_TYPE_URN, SERVLET_TYPE_URN, SIGNATURE_TYPE_URN
+from .typesys import (
+    ACCESS_SERVLET_TYPE_URN,
+    SERVLET_MIME,
+    SERVLET_TYPE_URN,
+    SIGNATURE_MIME,
+    SIGNATURE_TYPE_URN,
+)
 from .validate import (
     DISS_ID_RE,
     DS_ID_RE,
@@ -72,9 +78,9 @@ class DisseminatorKind(str, Enum):
 
 #: kind -> (reserved type URN, binding structure id, required document MIME)
 BUILTIN_KINDS = {
-    DisseminatorKind.SIGNATURE: (SIGNATURE_TYPE_URN, "signature", "application/x-fedora-signature+json"),
-    DisseminatorKind.SERVLET: (SERVLET_TYPE_URN, "servlet", "application/x-fedora-servlet+json"),
-    DisseminatorKind.ACCESS_MANAGER_SERVLET: (ACCESS_SERVLET_TYPE_URN, "servlet", "application/x-fedora-servlet+json"),
+    DisseminatorKind.SIGNATURE: (SIGNATURE_TYPE_URN, "signature", SIGNATURE_MIME),
+    DisseminatorKind.SERVLET: (SERVLET_TYPE_URN, "servlet", SERVLET_MIME),
+    DisseminatorKind.ACCESS_MANAGER_SERVLET: (ACCESS_SERVLET_TYPE_URN, "servlet", SERVLET_MIME),
 }
 
 _URN_TO_BUILTIN_KIND = {urn: kind for kind, (urn, _, _) in BUILTIN_KINDS.items()}
@@ -98,15 +104,6 @@ class DataStream:
     content: bytes
 
 
-@dataclass(frozen=True)
-class DataStreamInfo:
-    """Opaque stream metadata: id, MIME and size only, no semantic role."""
-
-    id: str
-    mime: str
-    length: int
-
-
 @dataclass
 class AccessManager:
     """Rights-scheme binding: scheme object URN plus argument streams."""
@@ -114,13 +111,6 @@ class AccessManager:
     id: str
     scheme: str
     bindings: dict[str, list[str]]
-
-
-@dataclass(frozen=True)
-class AccessManagerInfo:
-    id: str
-    scheme: str
-    bindings: dict[str, tuple[str, ...]]
 
 
 @dataclass
@@ -133,17 +123,9 @@ class Disseminator:
     access_manager: AccessManager | None = None
 
 
-@dataclass(frozen=True)
-class DisseminatorInfo:
-    id: str
-    kind: str
-    content_type: str
-    servlet: str
-    bindings: dict[str, tuple[str, ...]]
-    has_access_manager: bool
-
-
 def _normalize_bindings(bindings) -> dict[str, list[str]]:
+    if bindings is None:
+        return {}
     if not isinstance(bindings, dict):
         raise BadArguments("bindings must map structure ids to datastream id lists")
     out: dict[str, list[str]] = {}
@@ -206,8 +188,11 @@ class DigitalObjectKernel:
         self.datastreams.append(DataStream(ds_id, mime, bytes(content)))
         return ds_id
 
-    def get_datastreams(self) -> list[DataStreamInfo]:
-        return [DataStreamInfo(ds.id, ds.mime, len(ds.content)) for ds in self.datastreams]
+    def get_datastreams(self) -> list[dict]:
+        """Opaque stream metadata: id, MIME and length only, no semantic role."""
+        return [
+            {"id": ds.id, "mime": ds.mime, "length": len(ds.content)} for ds in self.datastreams
+        ]
 
     def get_datastream_content(self, ds_id: str) -> tuple[str, bytes]:
         ds = self.find_datastream(ds_id)
@@ -277,16 +262,16 @@ class DigitalObjectKernel:
                 f"{structure_id}: expected {doc_mime}, stream {ds.id} is {ds.mime}"
             )
 
-    def get_disseminators(self) -> list[DisseminatorInfo]:
+    def get_disseminators(self) -> list[dict]:
         return [
-            DisseminatorInfo(
-                id=d.id,
-                kind=d.kind.value,
-                content_type=d.content_type,
-                servlet=d.servlet,
-                bindings={sid: tuple(ids) for sid, ids in d.bindings.items()},
-                has_access_manager=d.access_manager is not None,
-            )
+            {
+                "id": d.id,
+                "kind": d.kind.value,
+                "content_type": d.content_type,
+                "servlet": d.servlet,
+                "bindings": {sid: list(ids) for sid, ids in d.bindings.items()},
+                "has_access_manager": d.access_manager is not None,
+            }
             for d in self.disseminators
         ]
 
@@ -298,11 +283,11 @@ class DigitalObjectKernel:
                 seen.append(d.content_type)
         return seen
 
-    def list_disseminator_methods(self, content_type: str, resolver) -> list[typesys.MethodSpec]:
+    def list_disseminator_methods(self, content_type: str, resolver) -> list[dict]:
         if content_type not in self.list_disseminator_types():
             raise NoSuchTypeOnObject(f"object has no content type {content_type}")
         signature = resolver.resolve_content_type(content_type)
-        return list(signature.methods)
+        return [spec.to_dict() for spec in signature.methods]
 
     def _content_disseminator(self, content_type: str) -> Disseminator:
         for d in self.disseminators:
@@ -394,7 +379,7 @@ class DigitalObjectKernel:
             diss.access_manager = am
         return am.id
 
-    def get_access_manager(self, target: str) -> AccessManagerInfo | None:
+    def get_access_manager(self, target: str) -> dict | None:
         if target == PRIMITIVE_TARGET:
             am = self.primitive_access_manager
         else:
@@ -404,7 +389,8 @@ class DigitalObjectKernel:
             am = diss.access_manager
         if am is None:
             return None
-        return AccessManagerInfo(am.id, am.scheme, {s: tuple(v) for s, v in am.bindings.items()})
+        bindings = {sid: list(ids) for sid, ids in am.bindings.items()}
+        return {"id": am.id, "scheme": am.scheme, "bindings": bindings}
 
     # -- canonical serialization ------------------------------------------
 

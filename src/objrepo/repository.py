@@ -18,9 +18,11 @@ import time
 import urllib.parse
 import uuid
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import access
+from .api import REPOSITORY_OPS, derive
 from .errors import (
     AccessDenied,
     AlreadyPresent,
@@ -163,9 +165,6 @@ class Repository:
     def _fault(self, point: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(point)
-
-    def persist(self, obj: DigitalObjectKernel) -> None:
-        self.store.save(obj)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -331,208 +330,99 @@ class ObjectSession:
                 if self._repo._objects.get(self._obj.name) is not self._obj:
                     raise NoSuchObject(f"{self._obj.name} is not contained in this repository")
 
-    def _gate(self, op_name: str, principal: str) -> access.AccessDecision | None:
-        assert op_name in PRIMITIVE_METHODS, op_name
-        pam = self._obj.primitive_access_manager
-        if pam is None:
-            return None
-        decision = access.evaluate(pam, self._repo.resolver, self._obj, op_name, principal)
-        if decision.effect == access.DENY:
-            raise AccessDenied(decision.reason)
-        return decision
-
-    def _persist(self) -> None:
-        if self._staged_handle is None:
-            self._repo.persist(self._obj)
+    def _run(self, request: str, principal: str, work, persist=False, transform=False):
+        """``work()`` under the object lock, once the session is live and the
+        primitive access manager, if any, allows ``request``. ``persist``
+        stores a deposited object afterwards; ``transform`` applies the
+        decision's output transforms to a (mime, bytes) result."""
+        assert request in PRIMITIVE_METHODS, request
+        with self._lock:
+            self._check_live()
+            decision = None
+            pam = self._obj.primitive_access_manager
+            if pam is not None:
+                decision = access.evaluate(pam, self._repo.resolver, self._obj, request, principal)
+                if decision.effect == access.DENY:
+                    raise AccessDenied(decision.reason)
+            result = work()
+            if persist and self._staged_handle is None:
+                self._repo.store.save(self._obj)
+            if transform and decision is not None:
+                result = access.apply_transforms(decision, *result)
+            return result
 
     # -- structural -------------------------------------------------------
 
     def create_datastream(self, mime: str, content: bytes, principal: str = "anonymous") -> str:
-        with self._lock:
-            self._check_live()
-            self._gate("CreateDataStream", principal)
-            ds_id = self._obj.create_datastream(mime, content)
-            self._persist()
-            return ds_id
+        work = partial(self._obj.create_datastream, mime, content)
+        return self._run("CreateDataStream", principal, work, persist=True)
 
     def get_datastreams(self, principal: str = "anonymous"):
-        with self._lock:
-            self._check_live()
-            self._gate("GetDataStreams", principal)
-            return self._obj.get_datastreams()
+        return self._run("GetDataStreams", principal, self._obj.get_datastreams)
 
     def get_datastream_content(self, ds_id: str, principal: str = "anonymous"):
-        with self._lock:
-            self._check_live()
-            decision = self._gate("GetDataStreamContent", principal)
-            mime, data = self._obj.get_datastream_content(ds_id)
-            if decision is not None:
-                mime, data = access.apply_transforms(decision, mime, data)
-            return mime, data
+        work = partial(self._obj.get_datastream_content, ds_id)
+        return self._run("GetDataStreamContent", principal, work, transform=True)
 
     # -- gateway ------------------------------------------------------------
 
     def create_disseminator(
         self, kind, content_type: str, servlet: str, bindings, principal: str = "anonymous"
     ) -> str:
-        with self._lock:
-            self._check_live()
-            self._gate("CreateDisseminator", principal)
-            diss_id = self._obj.create_disseminator(
-                kind, content_type, servlet, bindings, self._repo.resolver
-            )
-            self._persist()
-            return diss_id
+        work = partial(
+            self._obj.create_disseminator, kind, content_type, servlet, bindings, self._repo.resolver
+        )
+        return self._run("CreateDisseminator", principal, work, persist=True)
 
     def get_disseminators(self, principal: str = "anonymous"):
-        with self._lock:
-            self._check_live()
-            self._gate("GetDisseminators", principal)
-            return self._obj.get_disseminators()
+        return self._run("GetDisseminators", principal, self._obj.get_disseminators)
 
     def list_disseminator_types(self, principal: str = "anonymous") -> list[str]:
-        with self._lock:
-            self._check_live()
-            self._gate("ListDisseminatorTypes", principal)
-            return self._obj.list_disseminator_types()
+        return self._run("ListDisseminatorTypes", principal, self._obj.list_disseminator_types)
 
     def list_disseminator_methods(self, content_type: str, principal: str = "anonymous"):
-        with self._lock:
-            self._check_live()
-            self._gate("ListDisseminatorMethods", principal)
-            return self._obj.list_disseminator_methods(content_type, self._repo.resolver)
+        work = partial(self._obj.list_disseminator_methods, content_type, self._repo.resolver)
+        return self._run("ListDisseminatorMethods", principal, work)
 
     def get_dissemination(
         self, content_type: str, method: str, args: dict, principal: str = "anonymous"
     ):
-        with self._lock:
-            self._check_live()
-            decision = self._gate("GetDissemination", principal)
-            mime, data = self._obj.get_dissemination(
-                content_type, method, args, principal, self._repo.resolver
-            )
-            if decision is not None:
-                mime, data = access.apply_transforms(decision, mime, data)
-            return mime, data
+        work = partial(
+            self._obj.get_dissemination, content_type, method, args, principal, self._repo.resolver
+        )
+        return self._run("GetDissemination", principal, work, transform=True)
 
     # -- access managers ------------------------------------------------------
 
     def set_access_manager(self, target: str, scheme: str, bindings, principal: str = "anonymous") -> str:
-        with self._lock:
-            self._check_live()
-            self._gate("SetAccessManager", principal)
-            am_id = self._obj.set_access_manager(target, scheme, bindings, self._repo.resolver)
-            self._persist()
-            return am_id
+        work = partial(self._obj.set_access_manager, target, scheme, bindings, self._repo.resolver)
+        return self._run("SetAccessManager", principal, work, persist=True)
 
     def get_access_manager(self, target: str, principal: str = "anonymous"):
-        with self._lock:
-            self._check_live()
-            self._gate("GetAccessManager", principal)
-            return self._obj.get_access_manager(target)
+        work = partial(self._obj.get_access_manager, target)
+        return self._run("GetAccessManager", principal, work)
 
 
 # ---------------------------------------------------------------------------
 # in-process federation plumbing
 
 
+@derive(REPOSITORY_OPS)
 class LocalRepositoryClient:
-    """Same call surface as the wire repository client, backed by a direct
-    object reference; lets resolvers, transfers and bootstrap run without
-    sockets."""
+    """The wire repository client's methods, derived from the same operation
+    rows and backed by a direct object reference: each returns exactly what
+    the wire server would encode. Lets resolvers, transfers and bootstrap
+    run without sockets."""
 
     def __init__(self, registry: "LocalEndpointRegistry", endpoint: str, principal: str = "anonymous"):
         self._registry = registry
         self._endpoint = endpoint
         self.principal = principal
 
-    def _repo(self) -> Repository:
-        return self._registry.lookup(self._endpoint)
-
-    def get_dissemination(self, name, content_type, method, args, principal=None):
-        return self._repo().access(name).get_dissemination(
-            content_type, method, args, principal or self.principal
-        )
-
-    def receive_manifest(self, manifest: bytes) -> str:
-        return self._repo().receive_manifest(manifest)
-
-    # staging surface, mirroring the wire client
-
-    def create_object(self) -> str:
-        return self._repo().create_object()
-
-    def add_datastream(self, handle: str, mime: str, content: bytes) -> str:
-        return self._repo().staged(handle).create_datastream(mime, content, self.principal)
-
-    def add_disseminator(self, handle, content_type, servlet=None, bindings=None, kind=None):
-        from .kernel import DisseminatorKind, builtin_kind_for_urn
-
-        resolved_kind = (
-            DisseminatorKind(kind)
-            if kind is not None
-            else (builtin_kind_for_urn(content_type) or DisseminatorKind.CONTENT)
-        )
-        return self._repo().staged(handle).create_disseminator(
-            resolved_kind, content_type, servlet or content_type, bindings or {}, self.principal
-        )
-
-    def set_access_manager_staged(self, handle, target, scheme, bindings):
-        return self._repo().staged(handle).set_access_manager(target, scheme, bindings, self.principal)
-
-    def deposit(self, handle: str) -> str:
-        return self._repo().deposit(handle)
-
-    # deposited-object surface, returning wire-shaped plain data
-
-    def get_datastreams(self, name: str) -> list[dict]:
-        infos = self._repo().access(name).get_datastreams(self.principal)
-        return [{"id": i.id, "mime": i.mime, "length": i.length} for i in infos]
-
-    def get_datastream_content(self, name: str, ds_id: str) -> tuple[str, bytes]:
-        return self._repo().access(name).get_datastream_content(ds_id, self.principal)
-
-    def get_disseminators(self, name: str) -> list[dict]:
-        return [
-            {
-                "id": i.id,
-                "kind": i.kind,
-                "content_type": i.content_type,
-                "servlet": i.servlet,
-                "bindings": {sid: list(ids) for sid, ids in i.bindings.items()},
-                "has_access_manager": i.has_access_manager,
-            }
-            for i in self._repo().access(name).get_disseminators(self.principal)
-        ]
-
-    def list_types(self, name: str) -> list[str]:
-        return self._repo().access(name).list_disseminator_types(self.principal)
-
-    def list_methods(self, name: str, type_urn: str, use_alias: bool = False) -> list[dict]:
-        specs = self._repo().access(name).list_disseminator_methods(type_urn, self.principal)
-        return [s.to_dict() for s in specs]
-
-    def set_access_manager(self, name, target, scheme, bindings):
-        return self._repo().access(name).set_access_manager(target, scheme, bindings, self.principal)
-
-    def get_access_manager(self, name, target):
-        info = self._repo().access(name).get_access_manager(target, self.principal)
-        if info is None:
-            return None
-        return {
-            "id": info.id,
-            "scheme": info.scheme,
-            "bindings": {sid: list(ids) for sid, ids in info.bindings.items()},
-        }
-
-    def delete(self, name: str) -> None:
-        self._repo().delete(name)
-
-    def replicate(self, name: str, target: str) -> None:
-        self._repo().replicate(name, target)
-
-    def move(self, name: str, target: str) -> None:
-        self._repo().move(name, target)
+    def _call(self, op, values: dict):
+        if "principal" in values:
+            values["principal"] = values["principal"] or self.principal
+        return op.unwrap(op.invoke(self._registry.lookup(self._endpoint), values))
 
 
 class LocalEndpointRegistry:

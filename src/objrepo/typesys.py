@@ -118,12 +118,6 @@ class AttachmentStructure:
 class AttachmentSpecification:
     structures: list[AttachmentStructure]
 
-    def find(self, structure_id: str) -> AttachmentStructure | None:
-        for s in self.structures:
-            if s.id == structure_id:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class Step:
@@ -504,40 +498,21 @@ def execution_count() -> int:
         return _executions
 
 
-def reset_execution_count() -> None:
-    global _executions
-    with _exec_lock:
-        _executions = 0
-
-
 def _note_execution() -> None:
     global _executions
     with _exec_lock:
         _executions += 1
 
 
-class _Stack:
-    def __init__(self):
-        self.values: list = []
-
-    def push(self, value) -> None:
-        self.values.append(value)
-
-    def pop_bytes(self, i: int) -> bytes:
-        if not self.values:
-            raise ServletError("value stack is empty", step_index=i)
-        v = self.values.pop()
-        if not isinstance(v, bytes):
-            raise ServletError("expected a byte value on the stack", step_index=i)
-        return v
-
-    def pop_list(self, i: int) -> list:
-        if not self.values:
-            raise ServletError("value stack is empty", step_index=i)
-        v = self.values.pop()
-        if not isinstance(v, list):
-            raise ServletError("expected a stream list on the stack", step_index=i)
-        return v
+def _pop(stack: list, kind: type, i: int):
+    """Pop the top value of the pipeline stack, which must be a ``kind``."""
+    if not stack:
+        raise ServletError("value stack is empty", step_index=i)
+    v = stack.pop()
+    if not isinstance(v, kind):
+        what = "a byte value" if kind is bytes else "a stream list"
+        raise ServletError(f"expected {what} on the stack", step_index=i)
+    return v
 
 
 def _resolve_param(value, args: dict):
@@ -574,7 +549,7 @@ def execute_servlet(
         raise ServletError(f"mechanism has no pipeline for {method!r}")
 
     _note_execution()
-    stack = _Stack()
+    stack: list = []
     for i, step in enumerate(pipeline.steps, start=1):
         try:
             result = _run_step(step, i, stack, bindings, obj, args)
@@ -599,7 +574,7 @@ def _bound_streams(step: Step, i: int, bindings: dict, obj) -> list:
     return streams
 
 
-def _run_step(step: Step, i: int, stack: _Stack, bindings: dict, obj, args: dict):
+def _run_step(step: Step, i: int, stack: list, bindings: dict, obj, args: dict):
     op = step.op
 
     if op == "select":
@@ -613,39 +588,39 @@ def _run_step(step: Step, i: int, stack: _Stack, bindings: dict, obj, args: dict
             raise ServletError(
                 f"select index {index} out of range 1..{len(streams)}", step_index=i
             )
-        stack.push(streams[index - 1].content)
+        stack.append(streams[index - 1].content)
 
     elif op == "select_all":
-        stack.push(_bound_streams(step, i, bindings, obj))
+        stack.append(_bound_streams(step, i, bindings, obj))
 
     elif op == "count":
-        stack.push(str(len(stack.pop_list(i))).encode("utf-8"))
+        stack.append(str(len(_pop(stack, list, i))).encode("utf-8"))
 
     elif op == "join":
-        streams = stack.pop_list(i)
+        streams = _pop(stack, list, i)
         sep = step.arg("separator").encode("utf-8")
-        stack.push(sep.join(ds.content for ds in streams))
+        stack.append(sep.join(ds.content for ds in streams))
 
     elif op == "const":
-        stack.push(step.arg("text").encode("utf-8"))
+        stack.append(step.arg("text").encode("utf-8"))
 
     elif op == "marc_to_dc":
-        data = stack.pop_bytes(i)
+        data = _pop(stack, bytes, i)
         try:
-            stack.push(marc_to_dc_bytes(data))
+            stack.append(marc_to_dc_bytes(data))
         except ValueError as exc:
             raise ServletError(f"malformed MARC input: {exc}", step_index=i) from None
 
     elif op == "dc_field":
         field_name = _resolve_param(step.arg("field"), args)
-        data = stack.pop_bytes(i)
+        data = _pop(stack, bytes, i)
         try:
             pairs = parse_dc_lines(data)
         except ValueError as exc:
             raise ServletError(f"malformed element lines: {exc}", step_index=i) from None
         for element, value in pairs:
             if element == field_name:
-                stack.push(value.encode("utf-8"))
+                stack.append(value.encode("utf-8"))
                 break
         else:
             raise ServletError(f"no element {field_name!r} in record", step_index=i)
@@ -654,7 +629,7 @@ def _run_step(step: Step, i: int, stack: _Stack, bindings: dict, obj, args: dict
         key = _resolve_param(step.arg("key"), args)
         col_in = step.arg("column_in")
         col_out = step.arg("column_out")
-        data = stack.pop_bytes(i)
+        data = _pop(stack, bytes, i)
         try:
             rows = parse_structure_rows(data)
         except ValueError as exc:
@@ -681,10 +656,10 @@ def _run_step(step: Step, i: int, stack: _Stack, bindings: dict, obj, args: dict
         ds = obj.find_datastream(ds_id)
         if ds is None:
             raise ServletError(f"structure row names missing stream {ds_id!r}", step_index=i)
-        stack.push(ds.content)
+        stack.append(ds.content)
 
     elif op == "emit":
-        value = stack.pop_bytes(i)
+        value = _pop(stack, bytes, i)
         return step.arg("mime"), value
 
     else:  # pragma: no cover - parser rejects unknown ops

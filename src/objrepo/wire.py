@@ -1,4 +1,4 @@
-"""HTTP binding for repository and naming operations, plus the clients.
+"""HTTP binding of the operation table in :mod:`objrepo.api`, plus the clients.
 
 Request and response bodies are JSON except where an operation's result is
 an opaque byte stream (datastream content, disseminations, manifests); those
@@ -10,6 +10,7 @@ error an in-process call would raise.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import re
@@ -18,290 +19,80 @@ import urllib.parse
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import requests
-
 from . import errors
+from .api import DEFAULT_PRINCIPAL, NAMING_OPS, RAW, REPOSITORY_OPS, Op, derive
 from .errors import (
     BadArguments,
-    MalformedMime,
     NamingUnavailable,
     NotFound,
     ObjectRepositoryError,
     TargetUnreachable,
 )
-from .kernel import DisseminatorKind, builtin_kind_for_urn
 from .naming import NamingConfig, NamingService
 from .repository import Repository, RepositoryConfig
 
 log = logging.getLogger(__name__)
-
-DEFAULT_PRINCIPAL = "anonymous"
 
 
 # ---------------------------------------------------------------------------
 # server
 
 
-class _Response:
-    def __init__(self, status: int = 200, mime: str = "application/json", body: bytes = b""):
-        self.status = status
-        self.mime = mime
-        self.body = body
+def _router(ops) -> dict:
+    """verb -> [(path pattern, op)] for every path of every row, aliases included."""
+    routes: dict = {}
+    for op in ops:
+        for path in op.paths:
+            pattern = re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", path)
+            routes.setdefault(op.verb, []).append((re.compile(f"^{pattern}$"), op))
+    return routes
 
 
-def _ok(payload: dict, status: int = 200) -> _Response:
-    return _Response(status, "application/json", json.dumps(payload).encode("utf-8"))
+REPOSITORY_ROUTES = _router(REPOSITORY_OPS)
+NAMING_ROUTES = _router(NAMING_OPS)
 
 
-def _raw(mime: str, data: bytes) -> _Response:
-    return _Response(200, mime, data)
+def _json(doc: dict, status: int = 200) -> tuple[int, str, bytes]:
+    return status, "application/json", json.dumps(doc).encode("utf-8")
 
 
-def _json_body(body: bytes) -> dict:
-    try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise BadArguments("request body must be a JSON object") from None
-    if not isinstance(doc, dict):
-        raise BadArguments("request body must be a JSON object")
-    return doc
-
-
-def _body_str(doc: dict, key: str) -> str:
-    value = doc.get(key)
-    if not isinstance(value, str) or not value:
-        raise BadArguments(f"body field {key!r} must be a non-empty string")
-    return value
-
-
-def _query_one(query: dict, key: str) -> str:
-    values = query.get(key, [])
-    if len(values) != 1:
-        raise BadArguments(f"query parameter {key!r} required exactly once")
-    return values[0]
-
-
-def _dissemination_args(query: dict) -> dict[str, str]:
-    args = {}
-    for key, values in query.items():
-        if key.startswith("arg."):
-            if len(values) != 1:
-                raise BadArguments(f"duplicate argument {key!r}")
-            args[key[4:]] = values[0]
-    return args
-
-
-def _infer_kind(doc: dict, content_type: str) -> DisseminatorKind:
-    if "kind" in doc:
+def _decode(op: Op, match, body: bytes, headers, query: dict) -> dict:
+    """The arguments of one request, each read from where its row says it travels."""
+    doc = {}
+    if op.json_body:
         try:
-            return DisseminatorKind(doc["kind"])
-        except ValueError:
-            raise BadArguments(f"unknown disseminator kind {doc['kind']!r}") from None
-    return builtin_kind_for_urn(content_type) or DisseminatorKind.CONTENT
-
-
-def _diss_info_dict(info) -> dict:
-    return {
-        "id": info.id,
-        "kind": info.kind,
-        "content_type": info.content_type,
-        "servlet": info.servlet,
-        "bindings": {sid: list(ids) for sid, ids in info.bindings.items()},
-        "has_access_manager": info.has_access_manager,
-    }
-
-
-# Each handler: fn(repo, match, body, headers, query, principal) -> _Response
-
-
-def _h_create_object(repo, match, body, headers, query, principal):
-    return _ok({"handle": repo.create_object()})
-
-
-def _h_add_datastream(repo, match, body, headers, query, principal):
-    mime = headers.get("Content-Type")
-    if not mime:
-        raise MalformedMime("Content-Type header required")
-    handle = urllib.parse.unquote(match.group(1))
-    ds_id = repo.staged(handle).create_datastream(mime, body, principal)
-    return _ok({"id": ds_id})
-
-
-def _bindings_from_body(doc: dict) -> dict:
-    bindings = doc.get("bindings", {})
-    if not isinstance(bindings, dict):
-        raise BadArguments("body field 'bindings' must be an object")
-    return bindings
-
-
-def _h_add_disseminator(repo, match, body, headers, query, principal):
-    doc = _json_body(body)
-    handle = urllib.parse.unquote(match.group(1))
-    content_type = _body_str(doc, "content_type")
-    kind = _infer_kind(doc, content_type)
-    servlet = doc.get("servlet") or content_type
-    diss_id = repo.staged(handle).create_disseminator(
-        kind, content_type, servlet, _bindings_from_body(doc), principal
-    )
-    return _ok({"id": diss_id})
-
-
-def _h_set_access_manager_staged(repo, match, body, headers, query, principal):
-    doc = _json_body(body)
-    handle = urllib.parse.unquote(match.group(1))
-    am_id = repo.staged(handle).set_access_manager(
-        _body_str(doc, "target"), _body_str(doc, "scheme"), _bindings_from_body(doc), principal
-    )
-    return _ok({"id": am_id})
-
-
-def _h_set_access_manager(repo, match, body, headers, query, principal):
-    doc = _json_body(body)
-    name = urllib.parse.unquote(match.group(1))
-    am_id = repo.access(name).set_access_manager(
-        _body_str(doc, "target"), _body_str(doc, "scheme"), _bindings_from_body(doc), principal
-    )
-    return _ok({"id": am_id})
-
-
-def _h_get_access_manager(repo, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    target = _query_one(query, "target")
-    info = repo.access(name).get_access_manager(target, principal)
-    if info is None:
-        return _ok({"access_manager": None})
-    return _ok(
-        {
-            "access_manager": {
-                "id": info.id,
-                "scheme": info.scheme,
-                "bindings": {sid: list(ids) for sid, ids in info.bindings.items()},
-            }
-        }
-    )
-
-
-def _h_deposit(repo, match, body, headers, query, principal):
-    handle = urllib.parse.unquote(match.group(1))
-    return _ok({"name": repo.deposit(handle)})
-
-
-def _h_get_datastreams(repo, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    infos = repo.access(name).get_datastreams(principal)
-    return _ok(
-        {"datastreams": [{"id": i.id, "mime": i.mime, "length": i.length} for i in infos]}
-    )
-
-
-def _h_get_datastream_content(repo, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    ds_id = urllib.parse.unquote(match.group(2))
-    mime, data = repo.access(name).get_datastream_content(ds_id, principal)
-    return _raw(mime, data)
-
-
-def _h_get_disseminators(repo, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    infos = repo.access(name).get_disseminators(principal)
-    return _ok({"disseminators": [_diss_info_dict(i) for i in infos]})
-
-
-def _h_list_types(repo, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    return _ok({"types": repo.access(name).list_disseminator_types(principal)})
-
-
-def _h_list_methods(repo, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    type_urn = _query_one(query, "type")
-    specs = repo.access(name).list_disseminator_methods(type_urn, principal)
-    return _ok({"methods": [s.to_dict() for s in specs]})
-
-
-def _h_get_dissemination(repo, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    type_urn = _query_one(query, "type")
-    method = _query_one(query, "method")
-    mime, data = repo.access(name).get_dissemination(
-        type_urn, method, _dissemination_args(query), principal
-    )
-    return _raw(mime, data)
-
-
-def _h_delete(repo, match, body, headers, query, principal):
-    repo.delete(urllib.parse.unquote(match.group(1)))
-    return _ok({"ok": True})
-
-
-def _h_replicate(repo, match, body, headers, query, principal):
-    doc = _json_body(body)
-    repo.replicate(urllib.parse.unquote(match.group(1)), _body_str(doc, "target"))
-    return _ok({"ok": True})
-
-
-def _h_move(repo, match, body, headers, query, principal):
-    doc = _json_body(body)
-    repo.move(urllib.parse.unquote(match.group(1)), _body_str(doc, "target"))
-    return _ok({"ok": True})
-
-
-def _h_receive_manifest(repo, match, body, headers, query, principal):
-    return _ok({"name": repo.receive_manifest(body)})
-
-
-REPOSITORY_ROUTES = [
-    ("POST", re.compile(r"^/staging$"), _h_create_object),
-    ("POST", re.compile(r"^/staging/([^/]+)/datastreams$"), _h_add_datastream),
-    ("POST", re.compile(r"^/staging/([^/]+)/disseminators$"), _h_add_disseminator),
-    ("POST", re.compile(r"^/staging/([^/]+)/access-managers$"), _h_set_access_manager_staged),
-    ("POST", re.compile(r"^/staging/([^/]+)/deposit$"), _h_deposit),
-    ("GET", re.compile(r"^/objects/([^/]+)/datastreams$"), _h_get_datastreams),
-    ("GET", re.compile(r"^/objects/([^/]+)/datastreams/([^/]+)$"), _h_get_datastream_content),
-    ("GET", re.compile(r"^/objects/([^/]+)/disseminators$"), _h_get_disseminators),
-    ("GET", re.compile(r"^/objects/([^/]+)/types$"), _h_list_types),
-    ("GET", re.compile(r"^/objects/([^/]+)/methods$"), _h_list_methods),
-    ("GET", re.compile(r"^/objects/([^/]+)/get-disseminator-methods$"), _h_list_methods),
-    ("GET", re.compile(r"^/objects/([^/]+)/dissemination$"), _h_get_dissemination),
-    ("POST", re.compile(r"^/objects/([^/]+)/access-managers$"), _h_set_access_manager),
-    ("GET", re.compile(r"^/objects/([^/]+)/access-managers$"), _h_get_access_manager),
-    ("DELETE", re.compile(r"^/objects/([^/]+)$"), _h_delete),
-    ("POST", re.compile(r"^/objects/([^/]+)/replicate$"), _h_replicate),
-    ("POST", re.compile(r"^/objects/([^/]+)/move$"), _h_move),
-    ("POST", re.compile(r"^/internal/receive-manifest$"), _h_receive_manifest),
-]
-
-
-def _n_register(naming, match, body, headers, query, principal):
-    doc = _json_body(body)
-    naming.register(urllib.parse.unquote(match.group(1)), _body_str(doc, "location"))
-    return _ok({"ok": True})
-
-
-def _n_resolve(naming, match, body, headers, query, principal):
-    name = urllib.parse.unquote(match.group(1))
-    return _ok({"name": name, "locations": naming.resolve(name)})
-
-
-def _n_add_location(naming, match, body, headers, query, principal):
-    doc = _json_body(body)
-    naming.add_location(urllib.parse.unquote(match.group(1)), _body_str(doc, "location"))
-    return _ok({"ok": True})
-
-
-def _n_remove_location(naming, match, body, headers, query, principal):
-    naming.remove_location(
-        urllib.parse.unquote(match.group(1)), urllib.parse.unquote(match.group(2))
-    )
-    return _ok({"ok": True})
-
-
-NAMING_ROUTES = [
-    ("PUT", re.compile(r"^/names/([^/]+)$"), _n_register),
-    ("GET", re.compile(r"^/names/([^/]+)$"), _n_resolve),
-    ("POST", re.compile(r"^/names/([^/]+)/locations$"), _n_add_location),
-    ("DELETE", re.compile(r"^/names/([^/]+)/locations/([^/]+)$"), _n_remove_location),
-]
+            doc = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            doc = None
+        if not isinstance(doc, dict):
+            raise BadArguments("request body must be a JSON object")
+    values = {}
+    for arg in op.args:
+        if arg.where == "path":
+            value = urllib.parse.unquote(match[arg.name])
+        elif arg.where == "body":
+            value = doc.get(arg.key)
+            if not arg.optional and (not isinstance(value, str) or not value):
+                raise BadArguments(f"body field {arg.key!r} must be a non-empty string")
+        elif arg.where == "query":
+            if len(query.get(arg.key, [])) != 1:
+                raise BadArguments(f"query parameter {arg.key!r} required exactly once")
+            value = query[arg.key][0]
+        elif arg.where == "args":
+            value = {}
+            for key, items in query.items():
+                if key.startswith("arg."):
+                    if len(items) != 1:
+                        raise BadArguments(f"duplicate argument {key!r}")
+                    value[key[4:]] = items[0]
+        elif arg.where == "raw":
+            value = body
+        elif arg.where == "content-type":
+            value = headers.get("Content-Type")
+        else:  # x-principal
+            value = headers.get("X-Principal") or DEFAULT_PRINCIPAL
+        values[arg.name] = value
+    return values
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -312,55 +103,54 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s %s", self.address_string(), fmt % args)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's end is unknown, so nothing after it can be read
+            self.close_connection = True
+            raise BadArguments("Content-Length must be a non-negative integer")
         return self.rfile.read(length) if length else b""
 
-    def _send(self, resp: _Response) -> None:
-        self.send_response(resp.status)
-        self.send_header("Content-Type", resp.mime)
-        self.send_header("Content-Length", str(len(resp.body)))
+    def _send(self, status: int, mime: str, body: bytes) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", mime)
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(resp.body)
+        self.wfile.write(body)
 
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)
-        query = urllib.parse.parse_qs(parsed.query, keep_blank_values=True)
-        body = self._read_body()
-        principal = self.headers.get("X-Principal") or DEFAULT_PRINCIPAL
         try:
-            for route_method, pattern, fn in self.server.routes:
-                if route_method != method:
-                    continue
+            body = self._read_body()
+            for pattern, op in self.server.routes.get(method, ()):
                 match = pattern.match(parsed.path)
                 if match is not None:
-                    with self.server.worker_slots:
-                        resp = fn(self.server.context, match, body, self.headers, query, principal)
                     break
             else:
                 raise NotFound(f"no route {method} {parsed.path}")
+            query = urllib.parse.parse_qs(parsed.query, keep_blank_values=True)
+            values = _decode(op, match, body, self.headers, query)
+            with self.server.worker_slots:
+                encoded = op.invoke(self.server.context, values)
+            resp = (200, *encoded) if op.reply == RAW else _json(encoded)
         except ObjectRepositoryError as exc:
-            resp = _ok(
-                {"error": exc.code, "detail": str(exc)}, status=errors.http_status(exc.code)
-            )
+            resp = _json({"error": exc.code, "detail": str(exc)}, errors.http_status(exc.code))
         except Exception as exc:  # noqa: BLE001 - must answer the client
             log.exception("unhandled error serving %s %s", method, parsed.path)
-            resp = _ok({"error": "INTERNAL", "detail": str(exc)}, status=500)
+            resp = _json({"error": "INTERNAL", "detail": str(exc)}, 500)
         try:
-            self._send(resp)
+            self._send(*resp)
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
 
     def do_GET(self):
-        self._dispatch("GET")
+        self._dispatch(self.command)
 
-    def do_POST(self):
-        self._dispatch("POST")
-
-    def do_PUT(self):
-        self._dispatch("PUT")
-
-    def do_DELETE(self):
-        self._dispatch("DELETE")
+    do_POST = do_PUT = do_DELETE = do_GET
 
 
 class WireServer(ThreadingHTTPServer):
@@ -434,11 +224,14 @@ def serve_naming(config: NamingConfig) -> tuple[WireServer, NamingService]:
 
 
 class _BaseClient:
+    """Sends each operation of its table as one HTTP request on a connection
+    of its own, closed after the reply."""
+
     unreachable_error: type[ObjectRepositoryError] = TargetUnreachable
+    principal: str | None = None
 
     def __init__(self, endpoint: str, timeout: float = 15.0):
         self.endpoint = endpoint
-        self.base_url = f"http://{endpoint}"
         self.timeout = timeout
 
     def _request(
@@ -446,48 +239,68 @@ class _BaseClient:
         method: str,
         path: str,
         *,
-        json_body: dict | None = None,
-        raw: bytes | None = None,
+        body: bytes | None = None,
         mime: str | None = None,
-        params: dict | None = None,
         principal: str | None = None,
-    ) -> requests.Response:
-        headers = {}
+    ) -> tuple[str, bytes]:
+        """Send one request; returns the reply's (Content-Type, body) or
+        raises the error its envelope names."""
+        headers = {"Connection": "close"}
         if principal:
             headers["X-Principal"] = principal
-        data = None
-        if json_body is not None:
-            data = json.dumps(json_body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        elif raw is not None:
-            data = raw
-            if mime:
-                headers["Content-Type"] = mime
+        if body is not None and mime:
+            headers["Content-Type"] = mime
+        conn = None
         try:
-            resp = requests.request(
-                method,
-                self.base_url + path,
-                data=data,
-                params=params,
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            conn = http.client.HTTPConnection(self.endpoint, timeout=self.timeout)
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise self.unreachable_error(f"{self.endpoint}: {exc}") from None
-        if resp.status_code >= 400:
+        finally:
+            if conn is not None:
+                conn.close()
+        if resp.status >= 400:
             try:
-                doc = resp.json()
+                doc = json.loads(data)
                 code, detail = doc["error"], doc.get("detail", "")
-            except (ValueError, KeyError):
-                code, detail = "INTERNAL", resp.text
+            except (ValueError, KeyError, TypeError):
+                code, detail = "INTERNAL", data.decode("utf-8", "replace")
             raise errors.from_code(code, detail)
-        return resp
+        return resp.getheader("Content-Type", ""), data
 
-    @staticmethod
-    def _quote(name: str) -> str:
-        return urllib.parse.quote(name, safe="")
+    def _call(self, op: Op, values: dict):
+        """Send one row's call as its HTTP request; returns what the method returns."""
+        path_args = {}
+        query: list[tuple[str, str]] = []
+        doc: dict = {}
+        body, mime = None, "application/json"
+        for arg in op.args:
+            value = values[arg.name]
+            if arg.where == "path":
+                path_args[arg.name] = urllib.parse.quote(value, safe="")
+            elif arg.where == "query":
+                query.append((arg.key, value))
+            elif arg.where == "args":
+                query.extend((f"arg.{key}", item) for key, item in (value or {}).items())
+            elif arg.where == "body" and value is not None:
+                doc[arg.key] = value
+            elif arg.where == "raw":
+                body = value
+            elif arg.where == "content-type":
+                mime = value
+        if op.json_body:
+            body = json.dumps(doc).encode("utf-8")
+        path = op.paths[0].format(**path_args)
+        if query:
+            path += "?" + urllib.parse.urlencode(query)
+        principal = values.get("principal") or self.principal
+        reply = self._request(op.verb, path, body=body, mime=mime, principal=principal)
+        return op.unwrap(reply if op.reply == RAW else json.loads(reply[1]))
 
 
+@derive(REPOSITORY_OPS)
 class RepositoryClient(_BaseClient):
     """Client for one repository endpoint. Used by operators (through the
     CLI), by resolvers fetching type documents, and by repositories pushing
@@ -497,158 +310,7 @@ class RepositoryClient(_BaseClient):
         super().__init__(endpoint, timeout)
         self.principal = principal
 
-    def create_object(self) -> str:
-        return self._request("POST", "/staging", principal=self.principal).json()["handle"]
 
-    def add_datastream(self, handle: str, mime: str, content: bytes) -> str:
-        resp = self._request(
-            "POST",
-            f"/staging/{self._quote(handle)}/datastreams",
-            raw=content,
-            mime=mime,
-            principal=self.principal,
-        )
-        return resp.json()["id"]
-
-    def add_disseminator(
-        self, handle: str, content_type: str, servlet: str | None = None,
-        bindings: dict | None = None, kind: str | None = None,
-    ) -> str:
-        body = {"content_type": content_type, "bindings": bindings or {}}
-        if servlet is not None:
-            body["servlet"] = servlet
-        if kind is not None:
-            body["kind"] = kind
-        resp = self._request(
-            "POST",
-            f"/staging/{self._quote(handle)}/disseminators",
-            json_body=body,
-            principal=self.principal,
-        )
-        return resp.json()["id"]
-
-    def set_access_manager_staged(self, handle: str, target: str, scheme: str, bindings: dict) -> str:
-        resp = self._request(
-            "POST",
-            f"/staging/{self._quote(handle)}/access-managers",
-            json_body={"target": target, "scheme": scheme, "bindings": bindings},
-            principal=self.principal,
-        )
-        return resp.json()["id"]
-
-    def set_access_manager(self, name: str, target: str, scheme: str, bindings: dict) -> str:
-        resp = self._request(
-            "POST",
-            f"/objects/{self._quote(name)}/access-managers",
-            json_body={"target": target, "scheme": scheme, "bindings": bindings},
-            principal=self.principal,
-        )
-        return resp.json()["id"]
-
-    def get_access_manager(self, name: str, target: str):
-        resp = self._request(
-            "GET",
-            f"/objects/{self._quote(name)}/access-managers",
-            params={"target": target},
-            principal=self.principal,
-        )
-        return resp.json()["access_manager"]
-
-    def deposit(self, handle: str) -> str:
-        resp = self._request(
-            "POST", f"/staging/{self._quote(handle)}/deposit", principal=self.principal
-        )
-        return resp.json()["name"]
-
-    def get_datastreams(self, name: str) -> list[dict]:
-        resp = self._request(
-            "GET", f"/objects/{self._quote(name)}/datastreams", principal=self.principal
-        )
-        return resp.json()["datastreams"]
-
-    def get_datastream_content(self, name: str, ds_id: str) -> tuple[str, bytes]:
-        resp = self._request(
-            "GET",
-            f"/objects/{self._quote(name)}/datastreams/{self._quote(ds_id)}",
-            principal=self.principal,
-        )
-        return resp.headers.get("Content-Type", ""), resp.content
-
-    def get_disseminators(self, name: str) -> list[dict]:
-        resp = self._request(
-            "GET", f"/objects/{self._quote(name)}/disseminators", principal=self.principal
-        )
-        return resp.json()["disseminators"]
-
-    def list_types(self, name: str) -> list[str]:
-        resp = self._request("GET", f"/objects/{self._quote(name)}/types", principal=self.principal)
-        return resp.json()["types"]
-
-    def list_methods(self, name: str, type_urn: str, use_alias: bool = False) -> list[dict]:
-        suffix = "get-disseminator-methods" if use_alias else "methods"
-        resp = self._request(
-            "GET",
-            f"/objects/{self._quote(name)}/{suffix}",
-            params={"type": type_urn},
-            principal=self.principal,
-        )
-        return resp.json()["methods"]
-
-    def get_dissemination(
-        self, name, content_type, method, args, principal: str | None = None
-    ) -> tuple[str, bytes]:
-        params = {"type": content_type, "method": method}
-        for key, value in (args or {}).items():
-            params[f"arg.{key}"] = value
-        resp = self._request(
-            "GET",
-            f"/objects/{self._quote(name)}/dissemination",
-            params=params,
-            principal=principal or self.principal,
-        )
-        return resp.headers.get("Content-Type", ""), resp.content
-
-    def delete(self, name: str) -> None:
-        self._request("DELETE", f"/objects/{self._quote(name)}", principal=self.principal)
-
-    def replicate(self, name: str, target: str) -> None:
-        self._request(
-            "POST",
-            f"/objects/{self._quote(name)}/replicate",
-            json_body={"target": target},
-            principal=self.principal,
-        )
-
-    def move(self, name: str, target: str) -> None:
-        self._request(
-            "POST",
-            f"/objects/{self._quote(name)}/move",
-            json_body={"target": target},
-            principal=self.principal,
-        )
-
-    def receive_manifest(self, manifest: bytes) -> str:
-        resp = self._request(
-            "POST", "/internal/receive-manifest", raw=manifest, mime="application/json"
-        )
-        return resp.json()["name"]
-
-
+@derive(NAMING_OPS)
 class NamingClient(_BaseClient):
     unreachable_error = NamingUnavailable
-
-    def register(self, name: str, location: str) -> None:
-        self._request("PUT", f"/names/{self._quote(name)}", json_body={"location": location})
-
-    def resolve(self, name: str) -> list[str]:
-        return self._request("GET", f"/names/{self._quote(name)}").json()["locations"]
-
-    def add_location(self, name: str, location: str) -> None:
-        self._request(
-            "POST", f"/names/{self._quote(name)}/locations", json_body={"location": location}
-        )
-
-    def remove_location(self, name: str, location: str) -> None:
-        self._request(
-            "DELETE", f"/names/{self._quote(name)}/locations/{self._quote(location)}"
-        )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import urllib.parse
 from dataclasses import dataclass, field
 
 import pytest
@@ -267,9 +269,6 @@ class WireFederation:
     clients: list
     types: dict[str, str] = field(default_factory=dict)
 
-    def url(self, index: int = 0) -> str:
-        return f"http://{self.servers[index].endpoint}"
-
     def stop(self) -> None:
         for server in self.servers:
             server.stop()
@@ -308,6 +307,26 @@ def wire_federation(tmp_path):
     fed = make_wire_federation(tmp_path, n_repos=2)
     yield fed
     fed.stop()
+
+
+def quote(name: str) -> str:
+    return urllib.parse.quote(name, safe="")
+
+
+def probe(endpoint: str, method: str, path: str, body: bytes | None = None,
+          headers: dict | None = None) -> tuple[int, object]:
+    """One raw HTTP request outside the clients; returns the status and the
+    body, parsed when it is JSON."""
+    conn = http.client.HTTPConnection(endpoint, timeout=10)
+    try:
+        conn.request(method, path, body=body, headers=headers or {})
+        resp = conn.getresponse()
+        data = resp.read()
+        if resp.getheader("Content-Type") == "application/json":
+            data = json.loads(data)
+        return resp.status, data
+    finally:
+        conn.close()
 
 
 def wire_marc_object(fed: WireFederation, client_index: int = 0,

@@ -310,7 +310,7 @@ def test_mutations_on_deposited_objects_persist(federation):
     repo = federation.repos[0]
     repo.access(name).create_datastream("text/plain", b"appended later")
     manifest = deserialize_object(repo.store.read_bytes(name))
-    assert manifest.get_datastreams()[-1].mime == "text/plain"
+    assert manifest.get_datastreams()[-1]["mime"] == "text/plain"
 
 
 # -- primitive access manager ---------------------------------------------------------------
@@ -469,4 +469,4 @@ def test_concurrent_writers_on_distinct_objects(federation):
     for name in names:
         infos = repo.access(name).get_datastreams()
         assert len(infos) == 2 + 20  # marc + acl + twenty appends
-        assert [i.id for i in infos] == [f"DS{k}" for k in range(1, 23)]
+        assert [i["id"] for i in infos] == [f"DS{k}" for k in range(1, 23)]

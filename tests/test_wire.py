@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import re
+import socket
+import urllib.parse
+from pathlib import Path
 
 import pytest
-import requests
 
 from conftest import (
     ACL_ALICE_ALL,
     EXPECTED_ELEMENTS,
     MARC_FIXTURE,
     acl_bytes,
+    probe,
+    quote,
     wire_marc_object,
 )
+from objrepo.api import NAMING_OPS, REPOSITORY_OPS
 from objrepo.errors import (
     AccessDenied,
     AlreadyRegistered,
@@ -47,8 +53,11 @@ def test_method_listing_alias_route(wire_federation):
     fed = wire_federation
     name = wire_marc_object(fed)
     canonical = fed.clients[0].list_methods(name, fed.types["type-dc"])
-    alias = fed.clients[0].list_methods(name, fed.types["type-dc"], use_alias=True)
-    assert alias == canonical
+    query = urllib.parse.urlencode({"type": fed.types["type-dc"]})
+    status, alias = probe(
+        fed.servers[0].endpoint, "GET", f"/objects/{quote(name)}/get-disseminator-methods?{query}"
+    )
+    assert (status, alias) == (200, {"methods": canonical})
 
 
 def test_missing_principal_header_means_anonymous(wire_federation):
@@ -57,19 +66,12 @@ def test_missing_principal_header_means_anonymous(wire_federation):
         entries=[{"principal": "anonymous", "methods": ["*"], "effect": "allow", "transforms": []}]
     )
     name = wire_marc_object(fed, acl=open_acl)
-    url = f"{fed.url(0)}/objects/{requests.utils.quote(name, safe='')}/dissemination"
-    resp = requests.get(
-        url, params={"type": fed.types["type-dc"], "method": "getDCRecord"}, timeout=10
-    )
-    assert resp.status_code == 200
-    resp = requests.get(
-        url,
-        params={"type": fed.types["type-dc"], "method": "getDCRecord"},
-        headers={"X-Principal": "mallory"},
-        timeout=10,
-    )
-    assert resp.status_code == 403
-    assert resp.json()["error"] == "ACCESS_DENIED"
+    query = urllib.parse.urlencode({"type": fed.types["type-dc"], "method": "getDCRecord"})
+    path = f"/objects/{quote(name)}/dissemination?{query}"
+    assert probe(fed.servers[0].endpoint, "GET", path)[0] == 200
+    status, doc = probe(fed.servers[0].endpoint, "GET", path, headers={"X-Principal": "mallory"})
+    assert status == 403
+    assert doc["error"] == "ACCESS_DENIED"
 
 
 def test_datastream_raw_round_trip(wire_federation):
@@ -119,15 +121,16 @@ def test_access_manager_routes(wire_federation):
     name = wire_marc_object(fed, acl=None)
     assert client.get_access_manager(name, "DISS1") is None
     # Bindings must point at streams inside the object.
-    raw = requests.post(
-        f"{fed.url(0)}/objects/{requests.utils.quote(name, safe='')}/access-managers",
-        data=json.dumps(
+    status, doc = probe(
+        fed.servers[0].endpoint,
+        "POST",
+        f"/objects/{quote(name)}/access-managers",
+        json.dumps(
             {"target": "DISS1", "scheme": fed.types["acl-v1"], "bindings": {"acl": ["DS9"]}}
-        ),
-        timeout=10,
+        ).encode(),
     )
-    assert raw.status_code == 400
-    assert raw.json()["error"] == "ATTACHMENT_VIOLATION"
+    assert status == 400
+    assert doc["error"] == "ATTACHMENT_VIOLATION"
 
 
 def test_set_access_manager_post_deposit(wire_federation):
@@ -194,34 +197,32 @@ def test_naming_wire_operations(wire_federation):
 
 def test_status_mapping(wire_federation):
     fed = wire_federation
-    base = fed.url(0)
+    endpoint = fed.servers[0].endpoint
     name = wire_marc_object(fed)
-    quoted = requests.utils.quote(name, safe="")
+    quoted = quote(name)
 
     cases = [
-        ("GET", f"{base}/objects/urn%3Atest%3Anope/types", None, 404, "NO_SUCH_OBJECT"),
-        ("GET", f"{base}/objects/{quoted}/datastreams/DS99", None, 404, "NO_SUCH_DATASTREAM"),
-        ("GET", f"{base}/objects/{quoted}/methods?type=urn%3Atest%3Aother", None, 404,
+        ("GET", "/objects/urn%3Atest%3Anope/types", None, 404, "NO_SUCH_OBJECT"),
+        ("GET", f"/objects/{quoted}/datastreams/DS99", None, 404, "NO_SUCH_DATASTREAM"),
+        ("GET", f"/objects/{quoted}/methods?type=urn%3Atest%3Aother", None, 404,
          "NO_SUCH_TYPE_ON_OBJECT"),
-        ("GET", f"{base}/objects/{quoted}/dissemination?type={quoted}", None, 400, "BAD_ARGUMENTS"),
-        ("GET", f"{base}/nowhere", None, 404, "NOT_FOUND"),
-        ("POST", f"{base}/objects/{quoted}/replicate", {"target": "off.local:9"}, 502,
+        ("GET", f"/objects/{quoted}/dissemination?type={quoted}", None, 400, "BAD_ARGUMENTS"),
+        ("GET", "/nowhere", None, 404, "NOT_FOUND"),
+        ("POST", f"/objects/{quoted}/replicate", {"target": "off.local:9"}, 502,
          "TARGET_UNREACHABLE"),
-        ("POST", f"{base}/objects/{quoted}/replicate", {"target": fed.servers[0].endpoint}, 409,
+        ("POST", f"/objects/{quoted}/replicate", {"target": fed.servers[0].endpoint}, 409,
          "ALREADY_PRESENT"),
     ]
-    for method, url, body, status, code in cases:
-        resp = requests.request(
-            method, url, data=json.dumps(body) if body is not None else None, timeout=10
-        )
-        assert (resp.status_code, resp.json()["error"]) == (status, code), url
+    for method, path, body, status, code in cases:
+        got = probe(endpoint, method, path, json.dumps(body).encode() if body is not None else None)
+        assert (got[0], got[1]["error"]) == (status, code), path
 
     # Content-Type is mandatory for stream uploads.
     handle = fed.clients[0].create_object()
-    resp = requests.post(
-        f"{base}/staging/{handle}/datastreams", data=b"x", headers={"Content-Type": ""}, timeout=10
+    status, doc = probe(
+        endpoint, "POST", f"/staging/{handle}/datastreams", b"x", headers={"Content-Type": ""}
     )
-    assert (resp.status_code, resp.json()["error"]) == (400, "MALFORMED_MIME")
+    assert (status, doc["error"]) == (400, "MALFORMED_MIME")
 
 
 def test_unresolvable_type_maps_502(wire_federation):
@@ -231,23 +232,57 @@ def test_unresolvable_type_maps_502(wire_federation):
     ds = client.add_datastream(handle, "application/x-marc-lines", MARC_FIXTURE)
     with pytest.raises(UnresolvableType):
         client.add_disseminator(handle, "urn:test:ghost-type", "urn:test:ghost-mech", {"marc": [ds]})
-    resp = requests.post(
-        f"{fed.url(0)}/staging/{handle}/disseminators",
-        data=json.dumps(
+    status, _ = probe(
+        fed.servers[0].endpoint,
+        "POST",
+        f"/staging/{handle}/disseminators",
+        json.dumps(
             {"content_type": "urn:test:ghost", "servlet": "urn:test:ghost", "bindings": {}}
-        ),
-        timeout=10,
+        ).encode(),
     )
-    assert resp.status_code == 502
+    assert status == 502
 
 
 def test_malformed_request_bodies(wire_federation):
     fed = wire_federation
     handle = fed.clients[0].create_object()
-    resp = requests.post(
-        f"{fed.url(0)}/staging/{handle}/disseminators", data=b"{not json", timeout=10
+    status, doc = probe(
+        fed.servers[0].endpoint, "POST", f"/staging/{handle}/disseminators", b"{not json"
     )
-    assert (resp.status_code, resp.json()["error"]) == (400, "BAD_ARGUMENTS")
+    assert (status, doc["error"]) == (400, "BAD_ARGUMENTS")
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_malformed_content_length_gets_envelope_and_close(wire_federation, length):
+    request = (
+        f"POST /staging HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
+    )
+    host, port = wire_federation.servers[0].endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):  # the server closes the connection
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"] == "BAD_ARGUMENTS"
+
+
+def test_protocol_doc_routes_match_operation_table():
+    """Every route in docs/protocol.md is a row of the table, and back."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
+    documented = {
+        (verb, re.sub(r"\{(h|urn|id|location)\}", "{}", path))
+        for verb, path in re.findall(r"^\| `(GET|POST|PUT|DELETE) ([^`?]+)[^`]*` \|", doc, re.M)
+    }
+    table = {
+        (op.verb, re.sub(r"\{\w+\}", "{}", path))
+        for op in REPOSITORY_OPS + NAMING_OPS
+        for path in op.paths
+    }
+    assert len(documented) == 22
+    assert documented == table
 
 
 def test_concurrent_wire_reads(wire_federation):
