@@ -137,17 +137,14 @@ def derive(ops):
 
 
 def _add_disseminator(repo, handle, content_type, servlet, bindings, kind, principal) -> str:
-    """An omitted kind is the one a reserved type URN implies, else CONTENT;
-    an omitted servlet defaults to the content type."""
+    """An omitted kind is the one a reserved type URN implies, else CONTENT."""
     if kind is None:
         kind = builtin_kind_for_urn(content_type) or DisseminatorKind.CONTENT
     try:
         kind = DisseminatorKind(kind)
     except ValueError:
         raise BadArguments(f"unknown disseminator kind {kind!r}") from None
-    return repo.staged(handle).create_disseminator(
-        kind, content_type, servlet or content_type, bindings, principal
-    )
+    return repo.staged(handle).create_disseminator(kind, content_type, servlet, bindings, principal)
 
 
 REPOSITORY_OPS = (

@@ -440,26 +440,10 @@ class DigitalObjectKernel:
         doc["digest"] = sha256_hex(canonical_bytes(doc))
         return canonical_bytes(doc)
 
-    def _equality_key(self):
-        def am_key(am: AccessManager | None):
-            return None if am is None else (am.scheme, am.bindings)
-
-        return (
-            self.name,
-            [(ds.id, ds.mime, ds.content) for ds in self.datastreams],
-            [
-                (d.id, d.kind, d.content_type, d.servlet, d.bindings, am_key(d.access_manager))
-                for d in self.disseminators
-            ],
-            am_key(self.primitive_access_manager),
-            self.next_ds_seq,
-            self.next_diss_seq,
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalObjectKernel):
             return NotImplemented
-        return self._equality_key() == other._equality_key()
+        return self._manifest_dict() == other._manifest_dict()
 
 
 def _manifest_field(doc: dict, key: str, kind) -> object:

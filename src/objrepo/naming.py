@@ -46,6 +46,11 @@ def load_naming_config(path: str | Path) -> NamingConfig:
     return config
 
 
+def _journal_line(op: str, name: str, location: str, seq: int) -> str:
+    update = {"op": op, "name": name, "location": location, "seq": seq}
+    return json.dumps(update, sort_keys=True) + "\n"
+
+
 @dataclass
 class NameRecord:
     name: str
@@ -63,6 +68,7 @@ class NamingService:
         self._journal_path = Path(journal_path) if journal_path else None
         self._journal = None
         self._appended = 0
+        self._live_locations = 0  # sum of len(record.locations), kept by _apply
         if self._journal_path is not None:
             self._journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._replay()
@@ -76,71 +82,68 @@ class NamingService:
         with self._lock:
             if name in self._records:
                 raise AlreadyRegistered(f"{name} is already registered")
-            record = NameRecord(name, [location], updated_seq=1)
-            self._records[name] = record
-            self._append("register", name, location, record.updated_seq)
+            self._apply("register", name, location, 1)
+            self._append("register", name, location, 1)
 
     def resolve(self, name: str) -> list[str]:
         require_urn(name)
         with self._lock:
-            record = self._records.get(name)
-            if record is None:
-                raise NotRegistered(f"{name} is not registered")
-            return list(record.locations)
+            return list(self._record(name).locations)
 
     def add_location(self, name: str, location: str) -> None:
         require_urn(name)
         require_endpoint(location)
         with self._lock:
-            record = self._records.get(name)
-            if record is None:
-                raise NotRegistered(f"{name} is not registered")
+            record = self._record(name)
             if location in record.locations:
                 return  # idempotent, not an applied update
-            record.locations.append(location)
-            record.updated_seq += 1
-            self._append("add", name, location, record.updated_seq)
+            seq = record.updated_seq + 1
+            self._apply("add", name, location, seq)
+            self._append("add", name, location, seq)
 
     def remove_location(self, name: str, location: str) -> None:
         require_urn(name)
         require_endpoint(location)
         with self._lock:
-            record = self._records.get(name)
-            if record is None:
-                raise NotRegistered(f"{name} is not registered")
+            record = self._record(name)
             if location not in record.locations:
                 raise NoSuchLocation(f"{name} does not resolve to {location}")
-            record.locations.remove(location)
-            record.updated_seq += 1
-            seq = record.updated_seq
-            if not record.locations:
-                del self._records[name]  # empty location set deletes the record
+            seq = record.updated_seq + 1
+            self._apply("remove", name, location, seq)  # an empty location set deletes the record
             self._append("remove", name, location, seq)
 
     def record(self, name: str) -> NameRecord:
         with self._lock:
-            record = self._records.get(name)
-            if record is None:
-                raise NotRegistered(f"{name} is not registered")
+            record = self._record(name)
             return NameRecord(record.name, list(record.locations), record.updated_seq)
 
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._records)
 
+    def _record(self, name: str) -> NameRecord:
+        record = self._records.get(name)
+        if record is None:
+            raise NotRegistered(f"{name} is not registered")
+        return record
+
     # -- persistence -----------------------------------------------------
 
     def _apply(self, op: str, name: str, location: str, seq: int) -> None:
+        """The one state transition, shared by live updates and replay."""
         record = self._records.get(name)
         if op == "register":
             self._records[name] = NameRecord(name, [location], seq)
+            self._live_locations += 1
         elif op == "add" and record is not None:
             if location not in record.locations:
                 record.locations.append(location)
+                self._live_locations += 1
             record.updated_seq = seq
         elif op == "remove" and record is not None:
             if location in record.locations:
                 record.locations.remove(location)
+                self._live_locations -= 1
             record.updated_seq = seq
             if not record.locations:
                 del self._records[name]
@@ -166,14 +169,11 @@ class NamingService:
     def _append(self, op: str, name: str, location: str, seq: int) -> None:
         if self._journal is None:
             return
-        line = json.dumps(
-            {"op": op, "name": name, "location": location, "seq": seq}, sort_keys=True
-        )
-        self._journal.write(line + "\n")
+        self._journal.write(_journal_line(op, name, location, seq))
         self._journal.flush()
         os.fsync(self._journal.fileno())
         self._appended += 1
-        live = sum(len(r.locations) for r in self._records.values())
+        live = self._live_locations
         if self._appended >= _COMPACT_MIN_RECORDS and self._appended > _COMPACT_DEAD_RATIO * live:
             self.compact()
 
@@ -190,13 +190,7 @@ class NamingService:
                     base = record.updated_seq - k + 1
                     for i, location in enumerate(record.locations):
                         op = "register" if i == 0 else "add"
-                        fh.write(
-                            json.dumps(
-                                {"op": op, "name": record.name, "location": location, "seq": base + i},
-                                sort_keys=True,
-                            )
-                            + "\n"
-                        )
+                        fh.write(_journal_line(op, record.name, location, base + i))
                 fh.flush()
                 os.fsync(fh.fileno())
             if self._journal is not None:

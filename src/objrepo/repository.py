@@ -17,6 +17,7 @@ import threading
 import time
 import urllib.parse
 import uuid
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -148,7 +149,9 @@ class Repository:
         self.store = ObjectStore(config.storage_root)
         self._objects = self.store.load_all()
         self._staged: dict[str, DigitalObjectKernel] = {}
-        self._locks: dict[str, threading.RLock] = {}
+        # key -> RLock, kept only while a `with` block or an ObjectSession
+        # holds it, so a waiter and a newcomer always share the same lock.
+        self._locks = weakref.WeakValueDictionary()
         self._guard = threading.Lock()
         #: test seam: called with a phase-boundary label during replicate/move
         self.fault_hook = None

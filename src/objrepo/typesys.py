@@ -20,6 +20,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, NoReturn
 
 from .errors import (
     BadArguments,
@@ -61,8 +62,6 @@ CROSSWALK = {
     ("520", "a"): "Description",
     ("650", "a"): "Subject",
 }
-
-DC_ELEMENTS = ("Title", "Creator", "Publisher", "Date", "Description", "Subject")
 
 _MARC_LINE_RE = re.compile(r"^([0-9]{3}) \$(.) (.*)$")
 _DC_LINE_RE = re.compile(r"^(Title|Creator|Publisher|Date|Description|Subject): (.*)$")
@@ -119,13 +118,13 @@ class AttachmentSpecification:
     structures: list[AttachmentStructure]
 
 
-@dataclass(frozen=True)
+@dataclass
 class Step:
     op: str
-    args: tuple[tuple[str, object], ...]
+    args: dict[str, object]  # argument name -> value as written, in STEPS order
 
     def arg(self, name: str):
-        return dict(self.args)[name]
+        return self.args[name]
 
 
 @dataclass
@@ -221,62 +220,20 @@ def parse_signature(data: bytes) -> ContentTypeSignature:
     return ContentTypeSignature(type_name, methods)
 
 
-#: op -> required argument names; values are checked by _parse_step.
-_STEP_ARGS = {
-    "select": ("id", "index"),
-    "select_all": ("id",),
-    "count": (),
-    "marc_to_dc": (),
-    "dc_field": ("field",),
-    "structure_lookup": ("column_in", "column_out", "key"),
-    "join": ("separator",),
-    "const": ("text",),
-    "emit": ("mime",),
-}
-
-
 def _parse_step(raw: dict, loc: str, structure_ids: set[str]) -> Step:
     if not isinstance(raw, dict) or not isinstance(raw.get("op"), str):
         raise MalformedServlet(f"{loc}: each step must be an object with an 'op'")
     op = raw["op"]
-    if op not in _STEP_ARGS:
+    if op not in STEPS:
         raise UnknownStep(f"{loc}: unknown step {op!r}")
-    expected = _STEP_ARGS[op]
-    if set(raw) != {"op", *expected}:
-        raise MalformedServlet(f"{loc}: {op} takes exactly {expected}")
-
-    def _str(key: str) -> str:
-        v = raw[key]
-        if not isinstance(v, str):
-            raise MalformedServlet(f"{loc}.{key}: must be a string")
-        return v
-
-    if op in ("select", "select_all"):
-        if _str("id") not in structure_ids:
-            raise MalformedServlet(f"{loc}.id: undeclared structure id {raw['id']!r}")
-    if op == "select":
-        idx = raw["index"]
-        if isinstance(idx, str):
-            if not idx.startswith("$"):
-                raise MalformedServlet(f"{loc}.index: must be an integer or a $parameter")
-        elif not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
-            raise MalformedServlet(f"{loc}.index: must be a positive integer or a $parameter")
-    if op == "dc_field":
-        _str("field")
-    if op == "structure_lookup":
-        for key in ("column_in", "column_out"):
-            v = raw[key]
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0 or (key == "column_out" and v < 1):
-                raise MalformedServlet(f"{loc}.{key}: must be a non-negative column index")
-        _str("key")
-    if op == "join":
-        _str("separator")
-    if op == "const":
-        _str("text")
-    if op == "emit" and not is_mime(raw["mime"]):
-        raise MalformedServlet(f"{loc}.mime: invalid MIME type")
-
-    return Step(op, tuple(sorted((k, v) for k, v in raw.items() if k != "op")))
+    names = STEPS[op].args
+    if set(raw) != {"op", *names}:
+        raise MalformedServlet(f"{loc}: {op} takes exactly {names}")
+    for name in names:
+        problem = ARG_CHECKS[name](raw[name], structure_ids)
+        if problem is not None:
+            raise MalformedServlet(f"{loc}.{name}: {problem}")
+    return Step(op, {name: raw[name] for name in names})
 
 
 def _parse_attachment_spec(raw, loc: str) -> AttachmentSpecification:
@@ -380,9 +337,10 @@ def validate_attachments(spec: AttachmentSpecification, bindings: dict, obj) -> 
 
 def _dollar_refs(pipeline: Pipeline):
     for step in pipeline.steps:
-        for key, value in step.args:
-            if isinstance(value, str) and value.startswith("$"):
-                yield step.op, key, value[1:]
+        for name, value in step.args.items():
+            ref = _param_ref(name, value)
+            if ref is not None:
+                yield step.op, name, ref
 
 
 def check_program_against_signature(program: ServletProgram, signature: ContentTypeSignature) -> None:
@@ -430,40 +388,37 @@ def check_args(spec: MethodSpec, args: dict) -> None:
 # document formats used by pipeline steps
 
 
-def parse_marc_lines(data: bytes) -> list[tuple[str, str, str]]:
-    """``TAG $SUB value`` per line -> (tag, subfield, value) triples."""
+def _lines(data: bytes) -> list[str]:
+    """UTF-8 text split at newlines; a final newline ends the last line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"not UTF-8: {exc}") from None
-    fields = []
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    for n, line in enumerate(lines, start=1):
-        m = _MARC_LINE_RE.match(line)
+    return lines
+
+
+def _match_lines(data: bytes, pattern: re.Pattern, what: str) -> list[tuple[str, ...]]:
+    """The groups of ``pattern`` matched against every line."""
+    matches = []
+    for n, line in enumerate(_lines(data), start=1):
+        m = pattern.match(line)
         if m is None:
-            raise ValueError(f"line {n}: not a MARC field line")
-        fields.append((m.group(1), m.group(2), m.group(3)))
-    return fields
+            raise ValueError(f"line {n}: not {what}")
+        matches.append(m.groups())
+    return matches
+
+
+def parse_marc_lines(data: bytes) -> list[tuple[str, str, str]]:
+    """``TAG $SUB value`` per line -> (tag, subfield, value) triples."""
+    return _match_lines(data, _MARC_LINE_RE, "a MARC field line")
 
 
 def parse_dc_lines(data: bytes) -> list[tuple[str, str]]:
     """``Element: value`` per line -> (element, value) pairs."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"not UTF-8: {exc}") from None
-    pairs = []
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for n, line in enumerate(lines, start=1):
-        m = _DC_LINE_RE.match(line)
-        if m is None:
-            raise ValueError(f"line {n}: not an element line")
-        pairs.append((m.group(1), m.group(2)))
-    return pairs
+    return _match_lines(data, _DC_LINE_RE, "an element line")
 
 
 def marc_to_dc_bytes(data: bytes) -> bytes:
@@ -477,11 +432,215 @@ def marc_to_dc_bytes(data: bytes) -> bytes:
 
 def parse_structure_rows(data: bytes) -> list[list[str]]:
     """Rows of whitespace-separated datastream ids; blank lines ignored."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"not UTF-8: {exc}") from None
-    return [line.split() for line in text.split("\n") if line.strip()]
+    return [line.split() for line in _lines(data) if line.strip()]
+
+
+# ---------------------------------------------------------------------------
+# the pipeline step vocabulary
+#
+# An argument name means the same thing in every op that takes it, so its
+# value check is written once: it returns what is wrong with a value, or None.
+
+
+def _string(value, structure_ids: set[str]) -> str | None:
+    return None if isinstance(value, str) else "must be a string"
+
+
+def _structure_id(value, structure_ids: set[str]) -> str | None:
+    if not isinstance(value, str):
+        return "must be a string"
+    return None if value in structure_ids else f"undeclared structure id {value!r}"
+
+
+def _whole(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _index(value, structure_ids: set[str]) -> str | None:
+    if isinstance(value, str):
+        return None if value.startswith("$") else "must be an integer or a $parameter"
+    return None if _whole(value, 1) else "must be a positive integer or a $parameter"
+
+
+def _column(minimum: int):
+    def check(value, structure_ids: set[str]) -> str | None:
+        return None if _whole(value, minimum) else f"must be a column index of at least {minimum}"
+
+    return check
+
+
+def _mime(value, structure_ids: set[str]) -> str | None:
+    return None if is_mime(value) else "invalid MIME type"
+
+
+#: argument name -> its value check
+ARG_CHECKS = {
+    "id": _structure_id,
+    "index": _index,
+    "column_in": _column(0),
+    "column_out": _column(1),
+    "field": _string,
+    "key": _string,
+    "separator": _string,
+    "text": _string,
+    "mime": _mime,
+}
+
+#: Arguments whose ``$name`` value is the method argument ``name``; every
+#: other argument is literal, ``$`` included.
+SUBSTITUTABLE = frozenset({"index", "field", "key"})
+
+
+def _param_ref(name: str, value) -> str | None:
+    """The method parameter a step argument refers to, or None when the
+    argument is literal."""
+    if name in SUBSTITUTABLE and isinstance(value, str) and value.startswith("$"):
+        return value[1:]
+    return None
+
+
+@dataclass
+class _Frame:
+    """One pipeline run: the value stack, the running step (1-based
+    ``index``) and the bound streams and method arguments it draws on. The
+    op methods are the step runners named in STEPS."""
+
+    bindings: dict
+    obj: object
+    args: dict
+    stack: list = field(default_factory=list)
+    index: int = 0
+    step: Step | None = None
+
+    def fail(self, detail: str) -> NoReturn:
+        raise ServletError(detail, step_index=self.index) from None
+
+    def arg(self, name: str):
+        """The running step's argument, with a ``$param`` substituted."""
+        value = self.step.arg(name)
+        ref = _param_ref(name, value)
+        if ref is None:
+            return value
+        if ref not in self.args:
+            self.fail(f"unbound parameter ${ref}")
+        return self.args[ref]
+
+    def pop(self, kind: type):
+        """The top value of the stack, which must be a ``kind``."""
+        if not self.stack:
+            self.fail("value stack is empty")
+        value = self.stack.pop()
+        if not isinstance(value, kind):
+            what = "a byte value" if kind is bytes else "a stream list"
+            self.fail(f"expected {what} on the stack")
+        return value
+
+    def pop_parsed(self, parse, what: str):
+        """``parse`` applied to the bytes on top of the stack."""
+        try:
+            return parse(self.pop(bytes))
+        except ValueError as exc:
+            self.fail(f"malformed {what}: {exc}")
+
+    def bound_streams(self) -> list:
+        sid = self.arg("id")
+        ds_ids = self.bindings.get(sid)
+        if ds_ids is None:
+            self.fail(f"structure {sid!r} is not bound")
+        streams = []
+        for ds_id in ds_ids:
+            ds = self.obj.find_datastream(ds_id)
+            if ds is None:
+                self.fail(f"bound stream {ds_id} is missing")
+            streams.append(ds)
+        return streams
+
+    def select(self) -> None:
+        streams = self.bound_streams()
+        raw = self.arg("index")
+        try:
+            index = int(raw)
+        except (TypeError, ValueError):
+            self.fail(f"select index {raw!r} is not an integer")
+        if not 1 <= index <= len(streams):
+            self.fail(f"select index {index} out of range 1..{len(streams)}")
+        self.stack.append(streams[index - 1].content)
+
+    def select_all(self) -> None:
+        self.stack.append(self.bound_streams())
+
+    def count(self) -> None:
+        self.stack.append(str(len(self.pop(list))).encode("utf-8"))
+
+    def join(self) -> None:
+        streams = self.pop(list)
+        sep = self.arg("separator").encode("utf-8")
+        self.stack.append(sep.join(ds.content for ds in streams))
+
+    def const(self) -> None:
+        self.stack.append(self.arg("text").encode("utf-8"))
+
+    def marc_to_dc(self) -> None:
+        self.stack.append(self.pop_parsed(marc_to_dc_bytes, "MARC input"))
+
+    def dc_field(self) -> None:
+        field_name = self.arg("field")
+        for element, value in self.pop_parsed(parse_dc_lines, "element lines"):
+            if element == field_name:
+                self.stack.append(value.encode("utf-8"))
+                return
+        self.fail(f"no element {field_name!r} in record")
+
+    def structure_lookup(self) -> None:
+        key = self.arg("key")
+        col_in = self.arg("column_in")
+        col_out = self.arg("column_out")
+        rows = self.pop_parsed(parse_structure_rows, "structure document")
+        row = None
+        if col_in == 0:
+            # column 0 is the implicit row ordinal (1-based), so integer
+            # parameters can address rows positionally.
+            if _INT_RE.match(str(key)) is None:
+                self.fail(f"ordinal key {key!r} is not an integer")
+            n = int(key)
+            if 1 <= n <= len(rows):
+                row = rows[n - 1]
+        else:
+            for candidate in rows:
+                if len(candidate) >= col_in and candidate[col_in - 1] == key:
+                    row = candidate
+                    break
+        if row is None:
+            self.fail(f"no row matches key {key!r}")
+        if len(row) < col_out:
+            self.fail(f"matched row has no column {col_out}")
+        ds_id = row[col_out - 1]
+        ds = self.obj.find_datastream(ds_id)
+        if ds is None:
+            self.fail(f"structure row names missing stream {ds_id!r}")
+        self.stack.append(ds.content)
+
+    def emit(self) -> tuple[str, bytes]:
+        return self.arg("mime"), self.pop(bytes)
+
+
+class StepDef(NamedTuple):
+    args: tuple[str, ...]  # exactly the arguments the op takes
+    run: Callable[[_Frame], tuple[str, bytes] | None]  # a result ends the pipeline
+
+
+#: The closed step vocabulary: the one place an op is defined.
+STEPS = {
+    "select": StepDef(("id", "index"), _Frame.select),
+    "select_all": StepDef(("id",), _Frame.select_all),
+    "count": StepDef((), _Frame.count),
+    "join": StepDef(("separator",), _Frame.join),
+    "const": StepDef(("text",), _Frame.const),
+    "marc_to_dc": StepDef((), _Frame.marc_to_dc),
+    "dc_field": StepDef(("field",), _Frame.dc_field),
+    "structure_lookup": StepDef(("column_in", "column_out", "key"), _Frame.structure_lookup),
+    "emit": StepDef(("mime",), _Frame.emit),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +661,6 @@ def _note_execution() -> None:
     global _executions
     with _exec_lock:
         _executions += 1
-
-
-def _pop(stack: list, kind: type, i: int):
-    """Pop the top value of the pipeline stack, which must be a ``kind``."""
-    if not stack:
-        raise ServletError("value stack is empty", step_index=i)
-    v = stack.pop()
-    if not isinstance(v, kind):
-        what = "a byte value" if kind is bytes else "a stream list"
-        raise ServletError(f"expected {what} on the stack", step_index=i)
-    return v
-
-
-def _resolve_param(value, args: dict):
-    if isinstance(value, str) and value.startswith("$"):
-        name = value[1:]
-        if name not in args:
-            raise KeyError(name)
-        return args[name]
-    return value
 
 
 def execute_servlet(
@@ -549,123 +688,12 @@ def execute_servlet(
         raise ServletError(f"mechanism has no pipeline for {method!r}")
 
     _note_execution()
-    stack: list = []
-    for i, step in enumerate(pipeline.steps, start=1):
-        try:
-            result = _run_step(step, i, stack, bindings, obj, args)
-        except KeyError as exc:
-            raise ServletError(f"unbound parameter ${exc.args[0]}", step_index=i) from None
+    frame = _Frame(bindings, obj, args)
+    for frame.index, frame.step in enumerate(pipeline.steps, start=1):
+        result = STEPS[frame.step.op].run(frame)
         if result is not None:
             return result
     raise ServletError("pipeline ended without emit")  # unreachable for parsed programs
-
-
-def _bound_streams(step: Step, i: int, bindings: dict, obj) -> list:
-    sid = step.arg("id")
-    ds_ids = bindings.get(sid)
-    if ds_ids is None:
-        raise ServletError(f"structure {sid!r} is not bound", step_index=i)
-    streams = []
-    for ds_id in ds_ids:
-        ds = obj.find_datastream(ds_id)
-        if ds is None:
-            raise ServletError(f"bound stream {ds_id} is missing", step_index=i)
-        streams.append(ds)
-    return streams
-
-
-def _run_step(step: Step, i: int, stack: list, bindings: dict, obj, args: dict):
-    op = step.op
-
-    if op == "select":
-        streams = _bound_streams(step, i, bindings, obj)
-        raw = _resolve_param(step.arg("index"), args)
-        try:
-            index = int(raw)
-        except (TypeError, ValueError):
-            raise ServletError(f"select index {raw!r} is not an integer", step_index=i) from None
-        if not 1 <= index <= len(streams):
-            raise ServletError(
-                f"select index {index} out of range 1..{len(streams)}", step_index=i
-            )
-        stack.append(streams[index - 1].content)
-
-    elif op == "select_all":
-        stack.append(_bound_streams(step, i, bindings, obj))
-
-    elif op == "count":
-        stack.append(str(len(_pop(stack, list, i))).encode("utf-8"))
-
-    elif op == "join":
-        streams = _pop(stack, list, i)
-        sep = step.arg("separator").encode("utf-8")
-        stack.append(sep.join(ds.content for ds in streams))
-
-    elif op == "const":
-        stack.append(step.arg("text").encode("utf-8"))
-
-    elif op == "marc_to_dc":
-        data = _pop(stack, bytes, i)
-        try:
-            stack.append(marc_to_dc_bytes(data))
-        except ValueError as exc:
-            raise ServletError(f"malformed MARC input: {exc}", step_index=i) from None
-
-    elif op == "dc_field":
-        field_name = _resolve_param(step.arg("field"), args)
-        data = _pop(stack, bytes, i)
-        try:
-            pairs = parse_dc_lines(data)
-        except ValueError as exc:
-            raise ServletError(f"malformed element lines: {exc}", step_index=i) from None
-        for element, value in pairs:
-            if element == field_name:
-                stack.append(value.encode("utf-8"))
-                break
-        else:
-            raise ServletError(f"no element {field_name!r} in record", step_index=i)
-
-    elif op == "structure_lookup":
-        key = _resolve_param(step.arg("key"), args)
-        col_in = step.arg("column_in")
-        col_out = step.arg("column_out")
-        data = _pop(stack, bytes, i)
-        try:
-            rows = parse_structure_rows(data)
-        except ValueError as exc:
-            raise ServletError(f"malformed structure document: {exc}", step_index=i) from None
-        row = None
-        if col_in == 0:
-            # column 0 is the implicit row ordinal (1-based), so integer
-            # parameters can address rows positionally.
-            if _INT_RE.match(str(key)) is None:
-                raise ServletError(f"ordinal key {key!r} is not an integer", step_index=i)
-            n = int(key)
-            if 1 <= n <= len(rows):
-                row = rows[n - 1]
-        else:
-            for candidate in rows:
-                if len(candidate) >= col_in and candidate[col_in - 1] == key:
-                    row = candidate
-                    break
-        if row is None:
-            raise ServletError(f"no row matches key {key!r}", step_index=i)
-        if len(row) < col_out:
-            raise ServletError(f"matched row has no column {col_out}", step_index=i)
-        ds_id = row[col_out - 1]
-        ds = obj.find_datastream(ds_id)
-        if ds is None:
-            raise ServletError(f"structure row names missing stream {ds_id!r}", step_index=i)
-        stack.append(ds.content)
-
-    elif op == "emit":
-        value = _pop(stack, bytes, i)
-        return step.arg("mime"), value
-
-    else:  # pragma: no cover - parser rejects unknown ops
-        raise ServletError(f"unknown op {op!r}", step_index=i)
-
-    return None
 
 
 # ---------------------------------------------------------------------------

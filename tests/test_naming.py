@@ -223,7 +223,14 @@ def test_model_equivalence_random_sequences(tmp_path):
                 assert naming.resolve(name) == model[name]
 
     assert naming.names() == sorted(model)
+    live = sum(len(locations) for locations in model.values())
+    assert naming._live_locations == live
     # The surviving journal replays to the same state.
     naming.close()
     reborn = NamingService(tmp_path / "j.jsonl")
     assert {n: reborn.record(n).locations for n in reborn.names()} == model
+    assert reborn._live_locations == live
+    reborn.compact()
+    assert reborn._live_locations == live
+    reborn.close()
+    assert NamingService(tmp_path / "j.jsonl")._live_locations == live

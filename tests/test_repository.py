@@ -17,6 +17,7 @@ from conftest import (
 from objrepo.errors import (
     AccessDenied,
     AlreadyPresent,
+    BadArguments,
     NamingUnavailable,
     NoSuchHandle,
     NoSuchObject,
@@ -44,6 +45,14 @@ def test_create_yields_empty_wrapper(federation):
     assert repo.staged(handle).get_datastreams() == []
     other = repo.create_object()
     assert handle != other
+
+
+def test_content_disseminator_without_servlet_is_bad_arguments(federation):
+    client = federation.client()
+    handle = client.create_object()
+    ds = client.add_datastream(handle, "application/x-marc-lines", MARC_FIXTURE)
+    with pytest.raises(BadArguments):
+        client.add_disseminator(handle, federation.types["type-dc"], bindings={"marc": [ds]})
 
 
 def test_staged_objects_are_not_accessible_by_name(federation):
@@ -470,3 +479,23 @@ def test_concurrent_writers_on_distinct_objects(federation):
         infos = repo.access(name).get_datastreams()
         assert len(infos) == 2 + 20  # marc + acl + twenty appends
         assert [i["id"] for i in infos] == [f"DS{k}" for k in range(1, 23)]
+
+
+def test_object_locks_live_only_while_held(federation):
+    """Per-object locks are dropped once no block or session holds them, so
+    create/deposit/delete cycles leave the lock map as small as before."""
+    repo = federation.repos[0]
+
+    def cycle():
+        handle = repo.create_object()
+        repo.staged(handle).create_datastream("text/plain", b"x")
+        repo.delete(repo.deposit(handle))
+
+    cycle()
+    before = len(repo._locks)
+    for _ in range(200):
+        cycle()
+    assert len(repo._locks) <= before
+    session = repo.access(build_marc_object(federation))
+    with session._lock:  # a held lock stays the one every newcomer gets
+        assert repo._lock_for(session.object_name) is session._lock

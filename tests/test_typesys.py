@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +260,47 @@ def test_check_program_against_signature_mismatches():
             parse_servlet_program(canonical_bytes(rogue_param)), book_sig
         )
     assert "$missing" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "steps, expected",
+    [
+        ([{"op": "const", "text": "$5"}], b"$5"),
+        ([{"op": "select_all", "id": "src"}, {"op": "join", "separator": "$sep"}], b"a$sepb"),
+    ],
+)
+def test_dollar_is_literal_outside_substitutable_arguments(steps, expected):
+    """Only index, field and key take a $param: const text and a join
+    separator are literal in the signature check and in execution alike."""
+    pipeline = steps + [{"op": "emit", "mime": "text/plain"}]
+    attachment = [{"id": "src", "mime": "*", "ordinality": "1:N"}]
+    program = parse_servlet_program(servlet_doc(pipeline, attachment))
+    signature = parse_signature(canonical_bytes(sig_doc()))
+    check_program_against_signature(program, signature)
+    obj = DigitalObjectKernel()
+    bindings = {"src": [obj.create_datastream("text/plain", part) for part in (b"a", b"b")]}
+    assert execute_servlet(program, signature, bindings, obj, "get", {}) == ("text/plain", expected)
+
+
+def test_protocol_doc_step_table_matches_steps():
+    """The step vocabulary table in docs/protocol.md names exactly the ops,
+    argument names (in order) and $-substitutable arguments of the code."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
+    section = doc.split("## Pipeline step vocabulary", 1)[1].split("\n## ", 1)[0]
+    documented, substitutable = {}, set()
+    for op, cell in re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.M):
+        names = []
+        for part in cell.split(", "):
+            if part.strip() == "-":
+                continue
+            m = re.match(r"`(\w+)`(.*)", part)
+            names.append(m.group(1))
+            if "$" in m.group(2):
+                substitutable.add(m.group(1))
+        documented[op] = tuple(names)
+    assert documented == {op: row.args for op, row in typesys.STEPS.items()}
+    assert substitutable == typesys.SUBSTITUTABLE
+    assert set(typesys.ARG_CHECKS) == {name for row in typesys.STEPS.values() for name in row.args}
 
 
 def test_check_args():

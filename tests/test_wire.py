@@ -22,12 +22,14 @@ from conftest import (
 )
 from objrepo.api import NAMING_OPS, REPOSITORY_OPS
 from objrepo.errors import (
+    BY_CODE,
     AccessDenied,
     AlreadyRegistered,
     DigestMismatch,
     NoSuchObject,
     NotRegistered,
     UnresolvableType,
+    http_status,
 )
 
 
@@ -283,6 +285,33 @@ def test_protocol_doc_routes_match_operation_table():
     }
     assert len(documented) == 22
     assert documented == table
+
+
+def test_protocol_doc_error_statuses_match_errors():
+    """The error-envelope table lists every code once, with its status."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
+    section = doc.split("## Error envelope", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        (code, int(status))
+        for status, codes in re.findall(r"^\| ([0-9]{3}) \| (.*) \|$", section, re.M)
+        for code in re.findall(r"`([A-Z_]+)`", codes)
+    ]
+    assert len(documented) == len(dict(documented))
+    assert set(dict(documented)) == set(BY_CODE) | {"INTERNAL"}
+    assert documented == [(code, http_status(code)) for code, _ in documented]
+
+
+def test_content_disseminator_without_servlet_gets_400(wire_federation):
+    fed = wire_federation
+    client = fed.clients[0]
+    handle = client.create_object()
+    ds = client.add_datastream(handle, "application/x-marc-lines", MARC_FIXTURE)
+    body = json.dumps({"content_type": fed.types["type-dc"], "bindings": {"marc": [ds]}}).encode()
+    status, reply = probe(
+        fed.servers[0].endpoint, "POST", f"/staging/{handle}/disseminators", body,
+        {"Content-Type": "application/json"},
+    )
+    assert (status, reply["error"]) == (400, "BAD_ARGUMENTS")
 
 
 def test_concurrent_wire_reads(wire_federation):
