@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -406,15 +407,12 @@ class DigitalObjectKernel:
         return entries
 
     def _manifest_dict(self) -> dict:
+        """The manifest document with empty ``digest`` and ``content_b64``
+        slots; :func:`_canonical_parts` splices the stream bodies in."""
         return {
             "access_managers": self._access_manager_entries(),
             "datastreams": [
-                {
-                    "content_b64": base64.b64encode(ds.content).decode("ascii"),
-                    "id": ds.id,
-                    "mime": ds.mime,
-                }
-                for ds in self.datastreams
+                {"content_b64": "", "id": ds.id, "mime": ds.mime} for ds in self.datastreams
             ],
             "digest": "",
             "disseminators": [
@@ -436,14 +434,70 @@ class DigitalObjectKernel:
         """Canonical manifest bytes; deterministic for a given object state."""
         if self.name is None:
             raise UndepositedObject("object has no name yet; deposit it first")
-        doc = self._manifest_dict()
-        doc["digest"] = sha256_hex(canonical_bytes(doc))
-        return canonical_bytes(doc)
+        # Never None here: every other string value in a manifest sits
+        # under a fixed key, so the skeleton has exactly one slot per stream.
+        parts = _canonical_parts(
+            self._manifest_dict(), [base64.b64encode(ds.content) for ds in self.datastreams]
+        )
+        # "digest" sorts after "datastreams", so its slot is in the last part.
+        parts[-1] = parts[-1].replace(
+            _DIGEST_SLOT, b'"digest":"%s"' % _sha256_hex(parts).encode("ascii"), 1
+        )
+        return b"".join(parts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalObjectKernel):
             return NotImplemented
-        return self._manifest_dict() == other._manifest_dict()
+        return self._manifest_dict() == other._manifest_dict() and all(
+            a.content == b.content for a, b in zip(self.datastreams, other.datastreams)
+        )
+
+
+_B64_SLOT = b'"content_b64":""'
+_DIGEST_SLOT = b'"digest":""'
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+
+
+def _canonical_parts(skeleton: dict, b64s: list[bytes]) -> list[bytes] | None:
+    """``canonical_bytes`` of ``skeleton`` with the i-th ``content_b64`` slot
+    holding ``b64s[i]``, as parts whose concatenation is that encoding.
+
+    Only the few hundred bytes of the skeleton go through ``json.dumps``;
+    base64 needs no JSON escaping, so each body is spliced in verbatim.
+    Returns None when the encoded skeleton does not hold exactly one empty
+    ``content_b64`` slot per body.
+    """
+    pieces = canonical_bytes(skeleton).split(_B64_SLOT)
+    if len(pieces) != len(b64s) + 1:
+        return None
+    parts = [pieces[0]]
+    for b64, piece in zip(b64s, pieces[1:]):
+        parts += (b'"content_b64":"', b64, b'"' + piece)
+    return parts
+
+
+def _sha256_hex(parts: list[bytes]) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _expected_digest(doc: dict) -> str:
+    """``sha256_hex(canonical_bytes(dict(doc, digest="")))``, without
+    re-encoding stream bodies that are ASCII base64 text."""
+    streams = doc.get("datastreams")
+    if isinstance(streams, list) and all(
+        isinstance(e, dict) and isinstance(e.get("content_b64"), str) and e["content_b64"].isascii()
+        for e in streams
+    ):
+        b64s = [e["content_b64"].encode("ascii") for e in streams]
+        if not any(b.translate(None, _B64_ALPHABET) for b in b64s):
+            skeleton = dict(doc, digest="", datastreams=[dict(e, content_b64="") for e in streams])
+            parts = _canonical_parts(skeleton, b64s)
+            if parts is not None:
+                return _sha256_hex(parts)
+    return sha256_hex(canonical_bytes(dict(doc, digest="")))
 
 
 def _manifest_field(doc: dict, key: str, kind) -> object:
@@ -468,7 +522,8 @@ def deserialize_object(data: bytes) -> DigitalObjectKernel:
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers.
         raise MalformedManifest(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedManifest("manifest must be a JSON object")
@@ -476,8 +531,13 @@ def deserialize_object(data: bytes) -> DigitalObjectKernel:
     digest = doc.get("digest")
     if not isinstance(digest, str):
         raise MalformedManifest("missing digest")
-    expected = dict(doc, digest="")
-    if sha256_hex(canonical_bytes(expected)) != digest:
+    try:
+        expected = _expected_digest(doc)
+    except (UnicodeEncodeError, RecursionError):
+        # No canonical form: a lone surrogate has no UTF-8 encoding, and a
+        # document may nest deeper than json.dumps recurses.
+        raise MalformedManifest("manifest has no canonical encoding") from None
+    if expected != digest:
         raise DigestMismatch("manifest digest does not verify")
 
     extra = set(doc) - _MANIFEST_KEYS
@@ -490,7 +550,7 @@ def deserialize_object(data: bytes) -> DigitalObjectKernel:
     if not is_urn(name):
         raise MalformedManifest(f"invalid object name {name!r}")
     seq = _manifest_field(doc, "seq", dict)
-    if set(seq) != {"diss", "ds"} or not all(isinstance(v, int) and v >= 1 for v in seq.values()):
+    if set(seq) != {"diss", "ds"} or not all(type(v) is int and v >= 1 for v in seq.values()):
         raise MalformedManifest("invalid seq counters")
 
     obj = DigitalObjectKernel(name=name, next_ds_seq=seq["ds"], next_diss_seq=seq["diss"])

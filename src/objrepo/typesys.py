@@ -65,7 +65,7 @@ CROSSWALK = {
 
 _MARC_LINE_RE = re.compile(r"^([0-9]{3}) \$(.) (.*)$")
 _DC_LINE_RE = re.compile(r"^(Title|Creator|Publisher|Date|Description|Subject): (.*)$")
-_INT_RE = re.compile(r"^[0-9]+$")
+_DECIMAL_RE = re.compile(r"[0-9]+")
 
 MAX_TYPE_DOC_BYTES = 1 << 20  # resolver refuses larger signature/servlet documents
 
@@ -380,8 +380,13 @@ def check_args(spec: MethodSpec, args: dict) -> None:
         value = args[p.name]
         if not isinstance(value, str):
             raise BadArguments(f"{spec.name}: argument {p.name!r} must be a string")
-        if p.type == "integer" and _INT_RE.match(value) is None:
+        if p.type == "integer" and not _is_decimal(value):
             raise BadArguments(f"{spec.name}: argument {p.name!r} must be a non-negative decimal")
+
+
+def _is_decimal(value: str) -> bool:
+    """A non-negative ASCII decimal: not " 2", "+2", "２", "2_0" or "2\\n"."""
+    return _DECIMAL_RE.fullmatch(value) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +560,22 @@ class _Frame:
             streams.append(ds)
         return streams
 
+    def whole(self, name: str) -> int:
+        """The running step's argument ``name`` as an int: a literal int, or
+        a substituted string that is a non-negative decimal."""
+        value = self.arg(name)
+        if isinstance(value, int):
+            return value
+        if isinstance(value, str) and _is_decimal(value):
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() converts
+                pass
+        self.fail(f"{self.step.op} {name} {value!r} is not an integer")
+
     def select(self) -> None:
         streams = self.bound_streams()
-        raw = self.arg("index")
-        try:
-            index = int(raw)
-        except (TypeError, ValueError):
-            self.fail(f"select index {raw!r} is not an integer")
+        index = self.whole("index")
         if not 1 <= index <= len(streams):
             self.fail(f"select index {index} out of range 1..{len(streams)}")
         self.stack.append(streams[index - 1].content)
@@ -600,9 +614,7 @@ class _Frame:
         if col_in == 0:
             # column 0 is the implicit row ordinal (1-based), so integer
             # parameters can address rows positionally.
-            if _INT_RE.match(str(key)) is None:
-                self.fail(f"ordinal key {key!r} is not an integer")
-            n = int(key)
+            n = self.whole("key")
             if 1 <= n <= len(rows):
                 row = rows[n - 1]
         else:

@@ -8,6 +8,7 @@ import urllib.parse
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import settings
 
 from objrepo.bootstrap import bootstrap_types, load_recipes
 from objrepo.canonical import canonical_bytes
@@ -15,6 +16,11 @@ from objrepo.errors import NamingUnavailable, UnresolvableType
 from objrepo.naming import NamingService
 from objrepo.repository import LocalEndpointRegistry, Repository, RepositoryConfig
 from objrepo.typesys import parse_servlet_program, parse_signature
+
+# Property tests replay the same few examples on every run and keep no
+# example database, so the suite stays deterministic and quick.
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=50, deadline=None)
+settings.load_profile("tier1")
 
 # A small library catalog record, one MARC field per line. Expected element
 # lines below are derived by hand from the crosswalk table (100$a Creator,

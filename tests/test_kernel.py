@@ -509,8 +509,14 @@ def test_malformed_manifests_rejected(stub_resolver):
         bad["digest"] = sha256_hex(canonical_bytes(dict(bad, digest="")))
         return canonical_bytes(bad)
 
-    with pytest.raises(MalformedManifest):
-        deserialize_object(b"not json at all")
+    for not_canonical in (
+        b"not json at all",
+        b'{"digest":"","name":"\\ud800"}',  # a lone surrogate has no UTF-8 form
+        b'{"digest":"","n":' + b"7" * 5000 + b"}",  # beyond int()'s digit limit
+        b"[" * 100_000,  # deeper than the parser recurses
+    ):
+        with pytest.raises(MalformedManifest):
+            deserialize_object(not_canonical)
     with pytest.raises(MalformedManifest):
         deserialize_object(corrupt(lambda d: d.update(version="objrepo-manifest-9")))
     with pytest.raises(MalformedManifest):

@@ -14,17 +14,19 @@ from conftest import (
     build_marc_object,
     make_federation,
 )
+from objrepo.canonical import canonical_bytes, sha256_hex
 from objrepo.errors import (
     AccessDenied,
     AlreadyPresent,
     BadArguments,
+    MalformedManifest,
     NamingUnavailable,
     NoSuchHandle,
     NoSuchObject,
     NotRegistered,
     TargetUnreachable,
 )
-from objrepo.kernel import PRIMITIVE_TARGET, deserialize_object
+from objrepo.kernel import PRIMITIVE_TARGET, DigitalObjectKernel, deserialize_object
 from objrepo.repository import Repository, load_repository_config
 
 
@@ -312,6 +314,24 @@ def test_renamed_manifest_file_is_quarantined(tmp_path):
 def test_empty_root_is_empty_store(tmp_path):
     fed = make_federation(tmp_path, with_types=False)
     assert fed.repos[0].names() == []
+
+
+def test_boolean_seq_counters_are_refused_and_nothing_is_stored(federation):
+    # `true` parses to True, which is an int; taken as a counter it would
+    # mint the stream id "DSTrue".
+    doc = json.loads(DigitalObjectKernel(name="urn:test:bool-seq").serialize())
+    doc["seq"] = {"diss": True, "ds": True}
+    doc["digest"] = sha256_hex(canonical_bytes(dict(doc, digest="")))
+    manifest = canonical_bytes(doc)
+    with pytest.raises(MalformedManifest):
+        deserialize_object(manifest)
+    repo = federation.repos[0]
+    stored = sorted(repo.store.objects_dir.iterdir())
+    with pytest.raises(MalformedManifest) as err:
+        repo.receive_manifest(manifest)
+    assert err.value.code == "MALFORMED_MANIFEST"
+    assert not repo.contains("urn:test:bool-seq")
+    assert sorted(repo.store.objects_dir.iterdir()) == stored
 
 
 def test_mutations_on_deposited_objects_persist(federation):

@@ -308,7 +308,7 @@ def test_check_args():
     spec = sig.find_method("getPage")
     check_args(spec, {"n": "2"})
     check_args(spec, {"n": "0"})  # non-negative decimals parse; range is the servlet's concern
-    for bad in ({}, {"n": "2", "q": "1"}, {"n": "-1"}, {"n": "two"}, {"n": "1.5"}):
+    for bad in ({}, {"n": "2", "q": "1"}, {"n": "-1"}, {"n": "two"}, {"n": "1.5"}, {"n": "2\n"}):
         with pytest.raises(BadArguments):
             check_args(spec, bad)
 
@@ -421,6 +421,46 @@ def test_execute_rejects_unknown_method_and_args():
         run_fixture("mech-photoalbum", "nextImage", {}, obj, ALBUM_BINDINGS)
     with pytest.raises(BadArguments):
         run_fixture("mech-photoalbum", "getThumbnail", {"n": "one"}, obj, ALBUM_BINDINGS)
+
+
+def index_program():
+    """``pick`` selects the ``$n``-th of the bound streams; ``row`` looks up
+    the ``$n``-th row of the first stream's structure document. ``n`` is a
+    string parameter, so only the steps judge whether it is an integer."""
+    sig = parse_signature(canonical_bytes({"type_name": "Pick", "methods": [
+        {"name": m, "params": [{"name": "n", "type": "string"}], "returns_mime": "text/plain"}
+        for m in ("pick", "row")
+    ]}))
+    program = parse_servlet_program(canonical_bytes({
+        "implements": "urn:test:type-pick",
+        "attachment_spec": [{"id": "parts", "mime": "text/plain", "ordinality": "1:N"}],
+        "methods": {
+            "pick": {"pipeline": [
+                {"op": "select", "id": "parts", "index": "$n"},
+                {"op": "emit", "mime": "text/plain"},
+            ]},
+            "row": {"pipeline": [
+                {"op": "select", "id": "parts", "index": 1},
+                {"op": "structure_lookup", "column_in": 0, "column_out": 1, "key": "$n"},
+                {"op": "emit", "mime": "text/plain"},
+            ]},
+        },
+    }))
+    obj = DigitalObjectKernel()
+    rows = "".join(f"DS{i}\n" for i in range(1, 22)).encode()
+    ids = [obj.create_datastream("text/plain", rows)]
+    ids += [obj.create_datastream("text/plain", b"s%d" % i) for i in range(2, 22)]
+    return program, sig, {"parts": ids}, obj
+
+
+@pytest.mark.parametrize("method", ["pick", "row"])
+def test_substituted_index_must_be_an_ascii_decimal(method):
+    program, sig, bindings, obj = index_program()
+    assert execute_servlet(program, sig, bindings, obj, method, {"n": "3"}) == ("text/plain", b"s3")
+    for bad in (" 3", "+3", "\uff13", "2_0", "3\n", "3" * 5000):
+        with pytest.raises(ServletError) as err:
+            execute_servlet(program, sig, bindings, obj, method, {"n": bad})
+        assert err.value.code == "SERVLET_ERROR" and "not an integer" in str(err.value)
 
 
 def test_join_concatenates_and_emit_requires_bytes():
