@@ -196,6 +196,12 @@ class NamingService:
             if self._journal is not None:
                 self._journal.close()
             os.replace(tmp, self._journal_path)
+            # the rename is durable only once the directory entry is on disk
+            dir_fd = os.open(self._journal_path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
             self._journal = open(self._journal_path, "a", encoding="utf-8")
             self._appended = 0
 

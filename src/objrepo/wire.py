@@ -14,9 +14,12 @@ import http.client
 import json
 import logging
 import re
+import select
+import socket
 import threading
 import urllib.parse
 from dataclasses import replace
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import errors
@@ -95,14 +98,41 @@ def _decode(op: Op, match, body: bytes, headers, query: dict) -> dict:
     return values
 
 
+def _envelope(exc: ObjectRepositoryError) -> tuple[int, str, bytes]:
+    return _json({"error": exc.code, "detail": str(exc)}, errors.http_status(exc.code))
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "objrepo"
+    # Connections persist, so a reply must not wait for the client's ACK of
+    # the headers before its body goes out (Nagle against delayed ACK).
+    disable_nagle_algorithm = True
+    # Seconds a connection may sit idle (or stall inside a request) before
+    # the server closes it and frees its thread.
+    timeout = 30.0
 
     def log_message(self, fmt, *args):
         log.debug("%s %s", self.address_string(), fmt % args)
 
+    def send_error(self, code, message=None, explain=None):
+        """Answer what the stdlib parser refused (bad request line or
+        headers, unknown verb) with the error envelope, then close."""
+        self.close_connection = True
+        if code == HTTPStatus.NOT_IMPLEMENTED:  # no do_<verb> method
+            path = urllib.parse.urlsplit(self.path).path
+            exc = NotFound(f"no route {self.command} {path}")
+        else:
+            exc = BadArguments(f"malformed request: {message or self.responses[code][0]}")
+        self.log_error("code %d, message %s", code, message)
+        self._send(*_envelope(exc))
+
     def _read_body(self) -> bytes:
+        if "Transfer-Encoding" in self.headers:
+            # without Content-Length the body's end is unknown, and a body
+            # read as the next request would be a smuggled one
+            self.close_connection = True
+            raise BadArguments("Transfer-Encoding is not supported; send Content-Length")
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -111,16 +141,26 @@ class _Handler(BaseHTTPRequestHandler):
             # the body's end is unknown, so nothing after it can be read
             self.close_connection = True
             raise BadArguments("Content-Length must be a non-negative integer")
-        return self.rfile.read(length) if length else b""
+        try:
+            return self.rfile.read(length) if length else b""
+        except TimeoutError:
+            # the rest of the body may still come, and must not be read as a request
+            self.close_connection = True
+            raise BadArguments(f"request body stalled for {self.timeout} s") from None
 
     def _send(self, status: int, mime: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", mime)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # an HTTP/0.9 request line would otherwise get a reply with no status line
+        self.request_version = self.protocol_version
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", mime)
+            self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):  # client went away
+            self.close_connection = True
 
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)
@@ -138,14 +178,11 @@ class _Handler(BaseHTTPRequestHandler):
                 encoded = op.invoke(self.server.context, values)
             resp = (200, *encoded) if op.reply == RAW else _json(encoded)
         except ObjectRepositoryError as exc:
-            resp = _json({"error": exc.code, "detail": str(exc)}, errors.http_status(exc.code))
+            resp = _envelope(exc)
         except Exception as exc:  # noqa: BLE001 - must answer the client
             log.exception("unhandled error serving %s %s", method, parsed.path)
             resp = _json({"error": "INTERNAL", "detail": str(exc)}, 500)
-        try:
-            self._send(*resp)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+        self._send(*resp)
 
     def do_GET(self):
         self._dispatch(self.command)
@@ -155,9 +192,13 @@ class _Handler(BaseHTTPRequestHandler):
 
 class WireServer(ThreadingHTTPServer):
     """An embeddable HTTP server; handlers run concurrently, bounded by the
-    configured worker limit."""
+    configured worker limit. Each connection has a thread of its own for as
+    long as the client keeps it open; :meth:`stop` closes them all."""
 
     daemon_threads = True
+    # the listen backlog; at the stdlib's 5, a burst of connects overflows it
+    # and each connect past it waits about a second for the SYN to be resent
+    request_queue_size = 128
 
     def __init__(self, host: str, port: int, routes, context, worker_limit: int = 8):
         super().__init__((host, port), _Handler)
@@ -165,6 +206,18 @@ class WireServer(ThreadingHTTPServer):
         self.context = context
         self.worker_slots = threading.BoundedSemaphore(max(1, worker_limit))
         self._thread: threading.Thread | None = None
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
 
     @property
     def endpoint(self) -> str:
@@ -178,7 +231,16 @@ class WireServer(ThreadingHTTPServer):
         return self
 
     def stop(self) -> None:
+        """Stop accepting and close every open connection, idle ones
+        included, so no pooled client is answered any more."""
         self.shutdown()
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed by its handler
+                pass
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -223,9 +285,47 @@ def serve_naming(config: NamingConfig) -> tuple[WireServer, NamingService]:
 # clients
 
 
+# This thread's idle keep-alive connections, one per endpoint. The pool is
+# per thread, not per client object, because callers make a fresh client for
+# each call (the CLI, the type resolver, a repository's peer pushes).
+_idle = threading.local()
+
+
+class _IdleConnections(dict):
+    """endpoint -> idle connection, for one thread; closed when it ends."""
+
+    def take(self, endpoint: str) -> http.client.HTTPConnection | None:
+        """The idle connection to ``endpoint``, if any. Every idle connection
+        its server has closed is dropped first: an idle socket that polls
+        readable holds an EOF (or bytes nobody asked for)."""
+        poller = select.poll()  # not select.select, which fails on fds >= 1024
+        endpoints = {}
+        for key, conn in self.items():
+            poller.register(conn.sock, select.POLLIN)
+            endpoints[conn.sock.fileno()] = key
+        for fd, _ in poller.poll(0):
+            self.pop(endpoints[fd]).close()
+        return self.pop(endpoint, None)
+
+    def __del__(self):
+        for conn in self.values():
+            conn.close()
+
+
+def _idle_connections() -> _IdleConnections:
+    pool = getattr(_idle, "conns", None)
+    if pool is None:
+        pool = _idle.conns = _IdleConnections()
+    return pool
+
+
 class _BaseClient:
-    """Sends each operation of its table as one HTTP request on a connection
-    of its own, closed after the reply."""
+    """Sends each operation of its table as one HTTP request on a persistent
+    connection. Each thread keeps one idle connection per endpoint, shared
+    by every client object on that thread; a connection the server has
+    closed (restart, idle timeout, stop) is replaced before use. Only a GET
+    that fails on a reused connection before any reply arrives is sent once
+    more, on a fresh one: a POST, PUT or DELETE is never sent twice."""
 
     unreachable_error: type[ObjectRepositoryError] = TargetUnreachable
     principal: str | None = None
@@ -245,22 +345,38 @@ class _BaseClient:
     ) -> tuple[str, bytes]:
         """Send one request; returns the reply's (Content-Type, body) or
         raises the error its envelope names."""
-        headers = {"Connection": "close"}
+        headers = {}
         if principal:
             headers["X-Principal"] = principal
         if body is not None and mime:
             headers["Content-Type"] = mime
-        conn = None
+        pool = _idle_connections()
+        conn = pool.take(self.endpoint)
+        retry = conn is not None and method == "GET"
         try:
-            conn = http.client.HTTPConnection(self.endpoint, timeout=self.timeout)
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
+            while True:
+                if conn is None:
+                    conn = http.client.HTTPConnection(self.endpoint, timeout=self.timeout)
+                else:
+                    conn.sock.settimeout(self.timeout)
+                try:
+                    conn.request(method, path, body=body, headers=headers)
+                    resp = conn.getresponse()
+                    break
+                except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+                    if not retry:  # nothing but a GET is sent twice
+                        raise
+                    conn.close()
+                    conn, retry = None, False
             data = resp.read()
         except (OSError, http.client.HTTPException) as exc:
-            raise self.unreachable_error(f"{self.endpoint}: {exc}") from None
-        finally:
             if conn is not None:
                 conn.close()
+            raise self.unreachable_error(f"{self.endpoint}: {exc}") from None
+        if resp.will_close:
+            conn.close()
+        else:
+            pool[self.endpoint] = conn
         if resp.status >= 400:
             try:
                 doc = json.loads(data)

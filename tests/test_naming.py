@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -113,6 +115,28 @@ def test_compaction_preserves_state_and_shrinks_journal(tmp_path):
     naming.close()
     reborn = NamingService(path)
     assert {n: (reborn.record(n).locations, reborn.record(n).updated_seq) for n in reborn.names()} == before
+
+
+def test_compaction_syncs_the_directory_after_the_replace(tmp_path, monkeypatch):
+    path = tmp_path / "j.jsonl"
+    naming = NamingService(path)
+    naming.register(U1, R1)
+    events = []
+    replace, fsync = os.replace, os.fsync
+
+    def spy_replace(src, dst):
+        events.append("replace")
+        replace(src, dst)
+
+    def spy_fsync(fd):
+        events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "replace", spy_replace)
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    naming.compact()
+    assert events == ["file", "replace", "dir"]
+    naming.close()
 
 
 def test_truncated_final_journal_line_is_tolerated(tmp_path):

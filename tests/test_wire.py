@@ -6,7 +6,10 @@ import concurrent.futures
 import json
 import re
 import socket
+import threading
+import time
 import urllib.parse
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from conftest import (
     EXPECTED_ELEMENTS,
     MARC_FIXTURE,
     acl_bytes,
+    make_wire_federation,
     probe,
     quote,
     wire_marc_object,
@@ -26,10 +30,21 @@ from objrepo.errors import (
     AccessDenied,
     AlreadyRegistered,
     DigestMismatch,
+    NamingUnavailable,
     NoSuchObject,
     NotRegistered,
+    TargetUnreachable,
     UnresolvableType,
     http_status,
+)
+from objrepo.naming import NamingConfig, NamingService
+from objrepo.wire import (
+    NAMING_ROUTES,
+    NamingClient,
+    RepositoryClient,
+    WireServer,
+    _Handler,
+    serve_naming,
 )
 
 
@@ -254,21 +269,32 @@ def test_malformed_request_bodies(wire_federation):
     assert (status, doc["error"]) == (400, "BAD_ARGUMENTS")
 
 
+def _raw_exchange(endpoint: str, request: bytes) -> bytes:
+    """Send raw bytes on a connection of their own; everything the server
+    sends until it closes."""
+    host, port = endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def _envelope_of(reply: bytes) -> tuple[bytes, dict]:
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, json.loads(body)
+
+
 @pytest.mark.parametrize("length", ["abc", "-5"])
 def test_malformed_content_length_gets_envelope_and_close(wire_federation, length):
     request = (
         f"POST /staging HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
     )
-    host, port = wire_federation.servers[0].endpoint.rsplit(":", 1)
-    with socket.create_connection((host, int(port)), timeout=10) as sock:
-        sock.sendall(request)
-        reply = b""
-        while chunk := sock.recv(4096):  # the server closes the connection
-            reply += chunk
-    head, _, body = reply.partition(b"\r\n\r\n")
+    head, doc = _envelope_of(_raw_exchange(wire_federation.servers[0].endpoint, request))
     assert head.startswith(b"HTTP/1.1 400 ")
     assert b"Connection: close" in head
-    assert json.loads(body)["error"] == "BAD_ARGUMENTS"
+    assert doc["error"] == "BAD_ARGUMENTS"
 
 
 def test_protocol_doc_routes_match_operation_table():
@@ -327,3 +353,191 @@ def test_concurrent_wire_reads(wire_federation):
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(fetch, range(24)))
     assert len(set(results)) == 1
+
+
+# ---------------------------------------------------------------------------
+# connections
+
+
+@pytest.fixture
+def naming_server(tmp_path):
+    server, service = serve_naming(
+        NamingConfig(listen_endpoint="127.0.0.1:0", journal_path=str(tmp_path / "naming.jsonl"))
+    )
+    yield server, service
+    server.stop()
+
+
+def test_transfer_encoding_is_refused_before_the_body(naming_server):
+    server, service = naming_server
+    smuggled = json.dumps({"location": "evil.local:1"}).encode()
+    inner = (
+        b"PUT /names/urn%3Ax%3Asmuggled HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Type: application/json\r\n"
+        + f"Content-Length: {len(smuggled)}\r\n\r\n".encode()
+        + smuggled
+    )
+    request = (
+        b"GET /names/urn%3Ax%3Aother HTTP/1.1\r\nHost: x\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n" + inner
+    )
+    head, doc = _envelope_of(_raw_exchange(server.endpoint, request))
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert doc["error"] == "BAD_ARGUMENTS"
+    with pytest.raises(NotRegistered):
+        service.resolve("urn:x:smuggled")
+
+
+def test_stalled_body_gets_envelope_and_close(naming_server, monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    request = b"PUT /names/urn%3Ax%3Aslow HTTP/1.1\r\nHost: x\r\nContent-Length: 40\r\n\r\n{"
+    head, doc = _envelope_of(_raw_exchange(naming_server[0].endpoint, request))
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert doc["error"] == "BAD_ARGUMENTS"
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status, code",
+    [
+        (b"PATCH /names/urn%3Ax%3Ay HTTP/1.1\r\nHost: x\r\n\r\n", 404, "NOT_FOUND"),
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\nHost: x\r\n\r\n", 400, "BAD_ARGUMENTS"),
+        (b"GARBAGE\r\n\r\n", 400, "BAD_ARGUMENTS"),
+        (b"GET / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 400, "BAD_ARGUMENTS"),
+        (b"GET /names/urn%3Ax%3Ay\r\n\r\n", 404, "NOT_REGISTERED"),  # HTTP/0.9 request line
+    ],
+    ids=["unsupported-verb", "uri-too-long", "no-version", "too-many-headers", "http-0.9"],
+)
+def test_requests_the_parser_refuses_get_the_envelope(naming_server, request_bytes, status, code):
+    head, doc = _envelope_of(_raw_exchange(naming_server[0].endpoint, request_bytes))
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert b"Connection: close" in head
+    assert doc["error"] == code
+    if code == "NOT_FOUND":
+        assert doc["detail"] == "no route PATCH /names/urn%3Ax%3Ay"
+
+
+class _CountingServer(WireServer):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.accepted = 0
+
+    def process_request(self, request, client_address):
+        self.accepted += 1
+        super().process_request(request, client_address)
+
+
+def test_fresh_clients_on_one_thread_share_one_connection():
+    server = _CountingServer("127.0.0.1", 0, NAMING_ROUTES, NamingService(), 4).start()
+    try:
+        server.context.register("urn:x:pooled", "a.local:1")
+        for _ in range(20):
+            assert NamingClient(server.endpoint).resolve("urn:x:pooled") == ["a.local:1"]
+        NamingClient(server.endpoint).add_location("urn:x:pooled", "b.local:2")
+        assert server.accepted == 1
+    finally:
+        server.stop()
+
+
+def test_server_restarted_on_the_same_port(tmp_path):
+    config = NamingConfig(listen_endpoint="127.0.0.1:0", journal_path=str(tmp_path / "n.jsonl"))
+    server, _ = serve_naming(config)
+    client = NamingClient(server.endpoint)
+    client.register("urn:x:restart", "a.local:1")
+    server.stop()
+    server, _ = serve_naming(replace(config, listen_endpoint=server.endpoint))
+    try:
+        assert client.resolve("urn:x:restart") == ["a.local:1"]  # GET
+        server.stop()
+        server, _ = serve_naming(replace(config, listen_endpoint=server.endpoint))
+        client.add_location("urn:x:restart", "b.local:2")  # POST
+        assert client.resolve("urn:x:restart") == ["a.local:1", "b.local:2"]
+    finally:
+        server.stop()
+
+
+def _drop_first(monkeypatch, verb: str) -> list[str]:
+    """Make the server drop the connection, unanswered, on the first request
+    with this verb it has read; returns the requests it read with that verb."""
+    seen = []
+    send = _Handler._send
+
+    def dropping_send(self, *reply):
+        if self.command != verb:
+            return send(self, *reply)
+        seen.append(self.path)
+        if len(seen) > 1:
+            return send(self, *reply)
+        self.close_connection = True
+        self.connection.shutdown(socket.SHUT_RDWR)
+
+    monkeypatch.setattr(_Handler, "_send", dropping_send)
+    return seen
+
+
+def test_dropped_post_is_not_sent_again(wire_federation, monkeypatch):
+    client = RepositoryClient(wire_federation.servers[0].endpoint)
+    with pytest.raises(NoSuchObject):  # leaves a pooled connection behind
+        client.list_types("urn:test:nothing")
+    seen = _drop_first(monkeypatch, "POST")
+    with pytest.raises(TargetUnreachable):
+        client.create_object()
+    assert seen == ["/staging"]
+
+
+def test_dropped_get_on_a_reused_connection_is_retried_once(wire_federation, monkeypatch):
+    client = RepositoryClient(wire_federation.servers[0].endpoint)
+    handle = client.create_object()  # leaves a pooled connection behind
+    name = client.deposit(handle)
+    seen = _drop_first(monkeypatch, "GET")
+    assert client.list_types(name) == []
+    assert len(seen) == 2
+
+
+def test_stopped_server_answers_no_pooled_client(tmp_path):
+    fed = make_wire_federation(tmp_path, n_repos=1, with_types=False)
+    fed.naming_service.register("urn:x:stop", "a.local:1")
+    assert fed.naming_client.resolve("urn:x:stop") == ["a.local:1"]
+    assert fed.clients[0].get_datastreams(fed.repos[0].deposit(fed.repos[0].create_object())) == []
+    fed.stop()
+    with pytest.raises(NamingUnavailable):
+        fed.naming_client.resolve("urn:x:stop")
+    with pytest.raises(TargetUnreachable):
+        fed.clients[0].create_object()
+
+
+def test_a_burst_of_connects_is_not_held_back(naming_server):
+    host, port = naming_server[0].endpoint.rsplit(":", 1)
+    socks = []
+    try:
+        for _ in range(40):
+            started = time.monotonic()
+            socks.append(socket.create_connection((host, int(port)), timeout=10))
+            assert time.monotonic() - started < 0.5  # a resent SYN waits a second
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def test_idle_connections_are_closed_by_the_server(naming_server, monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    host, port = naming_server[0].endpoint.rsplit(":", 1)
+    before = threading.active_count()
+    socks = []
+    try:
+        for _ in range(12):
+            socks.append(socket.create_connection((host, int(port)), timeout=10))
+            socks[-1].sendall(b"GET /names/urn%3Ax%3Aidle HTTP/1.1\r\nHost: x\r\n\r\n")
+        for sock in socks:
+            reply = b""
+            while chunk := sock.recv(4096):  # the reply, then the server's close
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 404 ")
+        deadline = time.monotonic() + 10
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert threading.active_count() <= before
+    finally:
+        for sock in socks:
+            sock.close()
