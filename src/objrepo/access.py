@@ -5,14 +5,15 @@ the object that disseminates it and binds argument streams (for the shipped
 ``acl-v1`` scheme, one access-control list). Enforcement happens at two
 points: the decision gates the mechanism invocation, and the decision's
 output transforms rewrite the result before it leaves for the client. A
-denied request never runs a single pipeline step.
+denied request never runs a single pipeline step. The ACL format is an
+:mod:`objrepo.shape` schema.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from . import shape
 from .errors import AccessDenied, MalformedAcl, SchemeError
 
 ALLOW = "allow"
@@ -51,20 +52,30 @@ class AclDocument:
     entries: list[AclEntry] = field(default_factory=list)
 
 
-def _parse_transforms(raw, loc: str) -> tuple[OutputTransform, ...]:
-    if not isinstance(raw, list):
-        raise MalformedAcl(f"{loc}: transforms must be a list")
-    out = []
-    for j, t in enumerate(raw):
-        tloc = f"{loc}[{j}]"
-        if not isinstance(t, dict) or set(t) != {"op", "text"}:
-            raise MalformedAcl(f"{tloc}: expected keys op/text")
-        if t["op"] != STAMP:
-            raise MalformedAcl(f"{tloc}.op: unknown transform {t['op']!r}")
-        if not isinstance(t["text"], str) or not t["text"]:
-            raise MalformedAcl(f"{tloc}.text: must be a non-empty string")
-        out.append(OutputTransform(STAMP, t["text"]))
-    return tuple(out)
+def _entry(principal, methods, effect, transforms=(), reason=None) -> AclEntry:
+    if effect == DENY and transforms:
+        raise shape.Invalid("deny entries cannot carry transforms")
+    return AclEntry(principal, tuple(methods), effect, tuple(transforms), reason)
+
+
+_EFFECT = shape.one_of(ALLOW, DENY)
+_ACL = shape.record(
+    AclDocument,
+    default=_EFFECT,
+    entries=shape.list_of(shape.record(
+        _entry,
+        principal=shape.NON_EMPTY,
+        methods=shape.list_of(shape.NON_EMPTY, non_empty=True),
+        effect=_EFFECT,
+        transforms=shape.optional(shape.list_of(shape.record(
+            OutputTransform, op=shape.one_of(STAMP), text=shape.NON_EMPTY
+        ))),
+        reason=shape.optional(shape.holds(
+            lambda v: v is None or isinstance(v, str) and v != "",
+            "must be a non-empty string or null",
+        )),
+    )),
+)
 
 
 def parse_acl(data: bytes) -> AclDocument:
@@ -74,45 +85,7 @@ def parse_acl(data: bytes) -> AclDocument:
     document default. Deny entries may not carry transforms, so decisions
     built from a parsed document are well-formed by construction.
     """
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedAcl(f"not a JSON document: {exc}") from None
-    if not isinstance(doc, dict) or set(doc) != {"default", "entries"}:
-        raise MalformedAcl("expected keys default/entries")
-    if doc["default"] not in (ALLOW, DENY):
-        raise MalformedAcl(f"default: must be {ALLOW!r} or {DENY!r}")
-    if not isinstance(doc["entries"], list):
-        raise MalformedAcl("entries: must be a list")
-
-    entries: list[AclEntry] = []
-    for i, e in enumerate(doc["entries"]):
-        loc = f"entries[{i}]"
-        if not isinstance(e, dict):
-            raise MalformedAcl(f"{loc}: must be an object")
-        extra = set(e) - {"principal", "methods", "effect", "transforms", "reason"}
-        if extra or not {"principal", "methods", "effect"} <= set(e):
-            raise MalformedAcl(f"{loc}: expected principal/methods/effect (+transforms, reason)")
-        principal = e["principal"]
-        if not isinstance(principal, str) or not principal:
-            raise MalformedAcl(f"{loc}.principal: must be a non-empty string")
-        methods = e["methods"]
-        if (
-            not isinstance(methods, list)
-            or not methods
-            or not all(isinstance(m, str) and m for m in methods)
-        ):
-            raise MalformedAcl(f"{loc}.methods: must be a non-empty list of method names")
-        if e["effect"] not in (ALLOW, DENY):
-            raise MalformedAcl(f"{loc}.effect: must be {ALLOW!r} or {DENY!r}")
-        transforms = _parse_transforms(e.get("transforms", []), f"{loc}.transforms")
-        if e["effect"] == DENY and transforms:
-            raise MalformedAcl(f"{loc}: deny entries cannot carry transforms")
-        reason = e.get("reason")
-        if reason is not None and (not isinstance(reason, str) or not reason):
-            raise MalformedAcl(f"{loc}.reason: must be a non-empty string")
-        entries.append(AclEntry(principal, tuple(methods), e["effect"], transforms, reason))
-    return AclDocument(doc["default"], entries)
+    return shape.parse(data, _ACL, MalformedAcl, "acl")
 
 
 def evaluate_acl(acl: AclDocument, method: str, principal: str) -> AccessDecision:

@@ -10,8 +10,8 @@ An argument is written ``name:where``, with ``=key`` when its wire key
 differs from its name, and a trailing ``?`` when a caller may omit it:
 
 - ``path``: the ``{name}`` segment of the path, URL-encoded;
-- ``body``: a field of the JSON request body; a required one must be a
-  non-empty string;
+- ``body``: a field of the JSON request body, which holds no other field;
+  a required one must be a non-empty string;
 - ``query``: a query parameter, given exactly once;
 - ``args``: every ``arg.<k>`` query parameter, as a dict;
 - ``raw``: the whole request body;
@@ -35,8 +35,9 @@ from __future__ import annotations
 import inspect
 from typing import Callable, NamedTuple
 
+from . import shape
 from .errors import BadArguments
-from .kernel import DisseminatorKind, builtin_kind_for_urn
+from .kernel import KINDS, DisseminatorKind, builtin_kind_for_urn
 
 DEFAULT_PRINCIPAL = "anonymous"
 OK = "ok"
@@ -76,7 +77,10 @@ class Op:
         self.verb = verb
         self.paths = (path, *aliases)
         self.args = [_arg(token) for token in args.split()]
-        self.json_body = any(a.where == "body" for a in self.args)
+        body = {a.key: shape.optional(shape.anything) if a.optional else shape.NON_EMPTY
+                for a in self.args if a.where == "body"}
+        #: the JSON request body's shape, or None for an operation without one
+        self.body_shape = shape.record(dict, **body) if body else None
         #: ``call(service, *arguments)`` runs the operation
         self.call = _method_call(call) if isinstance(call, str) else call
         self.reply = reply
@@ -140,10 +144,7 @@ def _add_disseminator(repo, handle, content_type, servlet, bindings, kind, princ
     """An omitted kind is the one a reserved type URN implies, else CONTENT."""
     if kind is None:
         kind = builtin_kind_for_urn(content_type) or DisseminatorKind.CONTENT
-    try:
-        kind = DisseminatorKind(kind)
-    except ValueError:
-        raise BadArguments(f"unknown disseminator kind {kind!r}") from None
+    kind = DisseminatorKind(shape.check(KINDS, kind, BadArguments, "kind"))
     return repo.staged(handle).create_disseminator(kind, content_type, servlet, bindings, principal)
 
 

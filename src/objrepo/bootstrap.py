@@ -9,9 +9,9 @@ registry made of ordinary deposited objects even in the smallest demo.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
+from . import shape
 from .canonical import canonical_bytes
 from .errors import BadArguments
 from .kernel import BUILTIN_KINDS
@@ -23,7 +23,7 @@ def load_recipes() -> list[dict]:
     recipes = []
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            recipes.append(json.loads(entry.read_text(encoding="utf-8")))
+            recipes.append(shape.load(entry.read_bytes(), BadArguments, entry.name))
     recipes.sort(key=lambda r: (r.get("kind") != "SIGNATURE",))
     return recipes
 

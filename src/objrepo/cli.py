@@ -202,13 +202,14 @@ def _cmd_serve_repo(args) -> int:
 
 def _cmd_serve_naming(args) -> int:
     config = load_naming_config(args.config)
-    server, _ = serve_naming(config)
+    server, service = serve_naming(config)
     print(f"naming service on {server.endpoint}", file=sys.stderr)
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
+        service.close()
     return 0
 
 

@@ -7,19 +7,19 @@ request set itself. The kernel never interprets datastream bytes; meaning is
 added by servlet programs resolved through a :class:`~objrepo.typesys.ContentTypeResolver`.
 
 Objects serialize to a canonical, digest-carrying JSON manifest so replicas
-can be compared byte-for-byte across repositories.
+can be compared byte-for-byte across repositories. Reading one back checks
+the digest first, then the :mod:`objrepo.shape` schema of the manifest and
+the bindings it shares with requests.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import access, typesys
+from . import access, shape, typesys
 from .canonical import canonical_bytes, sha256_hex
 from .errors import (
     AttachmentViolation,
@@ -41,15 +41,7 @@ from .typesys import (
     SIGNATURE_MIME,
     SIGNATURE_TYPE_URN,
 )
-from .validate import (
-    DISS_ID_RE,
-    DS_ID_RE,
-    is_mime,
-    is_urn,
-    mime_base,
-    require_mime,
-    require_urn,
-)
+from .validate import DISS_ID_RE, DS_ID_RE, mime_base, require_mime, require_urn
 
 MANIFEST_VERSION = "objrepo-manifest-1"
 
@@ -76,6 +68,8 @@ class DisseminatorKind(str, Enum):
     SERVLET = "SERVLET"
     ACCESS_MANAGER_SERVLET = "ACCESS_MANAGER_SERVLET"
 
+
+KINDS = shape.one_of(*(kind.value for kind in DisseminatorKind))
 
 #: kind -> (reserved type URN, binding structure id, required document MIME)
 BUILTIN_KINDS = {
@@ -124,24 +118,15 @@ class Disseminator:
     access_manager: AccessManager | None = None
 
 
-def _normalize_bindings(bindings) -> dict[str, list[str]]:
+_DS_ID = shape.matches(DS_ID_RE, "must be a datastream id")
+#: structure id -> datastream ids, as requests and manifests carry bindings
+BINDINGS = shape.map_of(shape.NON_EMPTY, shape.list_of(_DS_ID))
+
+
+def _request_bindings(bindings) -> dict[str, list[str]]:
     if bindings is None:
         return {}
-    if not isinstance(bindings, dict):
-        raise BadArguments("bindings must map structure ids to datastream id lists")
-    out: dict[str, list[str]] = {}
-    for sid, ds_ids in bindings.items():
-        if not isinstance(sid, str) or not sid:
-            raise BadArguments(f"invalid structure id {sid!r}")
-        if isinstance(ds_ids, str) or not isinstance(ds_ids, (list, tuple)):
-            raise BadArguments(f"binding for {sid!r} must be a list of datastream ids")
-        ids = []
-        for d in ds_ids:
-            if not isinstance(d, str) or DS_ID_RE.match(d) is None:
-                raise BadArguments(f"invalid datastream id {d!r} bound to {sid!r}")
-            ids.append(d)
-        out[sid] = ids
-    return out
+    return shape.check(BINDINGS, bindings, BadArguments, "bindings")
 
 
 @dataclass(eq=False)
@@ -213,7 +198,7 @@ class DigitalObjectKernel:
     ) -> str:
         kind = DisseminatorKind(kind)
         require_urn(content_type, "content_type")
-        bindings = _normalize_bindings(bindings)
+        bindings = _request_bindings(bindings)
 
         if kind is not DisseminatorKind.CONTENT:
             reserved, structure_id, doc_mime = BUILTIN_KINDS[kind]
@@ -366,7 +351,7 @@ class DigitalObjectKernel:
             diss = self.find_disseminator(target)
             if diss is None:
                 raise NoSuchDisseminator(f"no disseminator {target!r}")
-        bindings = _normalize_bindings(bindings)
+        bindings = _request_bindings(bindings)
         program = resolver.resolve_access_scheme(scheme)
         violations = typesys.validate_attachments(program.attachment_spec, bindings, self)
         if violations:
@@ -500,18 +485,84 @@ def _expected_digest(doc: dict) -> str:
     return sha256_hex(canonical_bytes(dict(doc, digest="")))
 
 
-def _manifest_field(doc: dict, key: str, kind) -> object:
-    if key not in doc:
-        raise MalformedManifest(f"missing field {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise MalformedManifest(f"field {key!r} has wrong type")
-    return value
+def _base64(value) -> bytes:
+    if isinstance(value, str):
+        try:
+            return base64.b64decode(value, validate=True)
+        except ValueError:  # binascii.Error, or text that is not ASCII
+            pass
+    raise shape.Invalid("must be base64 text")
 
 
-_MANIFEST_KEYS = {
-    "access_managers", "datastreams", "digest", "disseminators", "name", "seq", "version",
-}
+def _check_ids(key: str, entries: list, pattern, counter: int) -> None:
+    """Ids rise and stay below their ``seq`` counter."""
+    last, width = 0, len(str(counter))
+    for i, entry in enumerate(entries):
+        digits = pattern.match(entry.id).group(1)
+        # an id longer than the counter is beyond it, and may be longer than int() converts
+        n = int(digits) if len(digits) <= width else counter
+        if not last < n < counter:
+            raise shape.Invalid("out of order or beyond its seq counter", [key, i, "id"])
+        last = n
+
+
+def _check_streams(obj: DigitalObjectKernel, bindings: dict, path: list) -> None:
+    for sid, ds_ids in bindings.items():
+        for j, ds_id in enumerate(ds_ids):
+            if obj.find_datastream(ds_id) is None:
+                raise shape.Invalid(f"references missing stream {ds_id}", [*path, sid, j])
+
+
+def _manifest_object(name, seq, datastreams, disseminators, access_managers, **_):
+    """The object a manifest of the right shape describes, once its ids,
+    bindings and access-manager targets agree with each other."""
+    _check_ids("datastreams", datastreams, DS_ID_RE, seq["ds"])
+    _check_ids("disseminators", disseminators, DISS_ID_RE, seq["diss"])
+    obj = DigitalObjectKernel(
+        name, datastreams, disseminators, next_ds_seq=seq["ds"], next_diss_seq=seq["diss"]
+    )
+    for i, diss in enumerate(disseminators):
+        _check_streams(obj, diss.bindings, ["disseminators", i, "bindings"])
+    # each target takes one manager at most
+    targets = {PRIMITIVE_TARGET: obj, **{diss.id: diss for diss in disseminators}}
+    for i, entry in enumerate(access_managers):
+        _check_streams(obj, entry["bindings"], ["access_managers", i, "bindings"])
+        target = targets.pop(entry["target"], None)
+        if target is None:
+            raise shape.Invalid("unknown or second target", ["access_managers", i, "target"])
+        am = AccessManager(f"AM{obj.next_am_seq}", entry["scheme"], entry["bindings"])
+        obj.next_am_seq += 1
+        if target is obj:
+            obj.primitive_access_manager = am
+        else:
+            target.access_manager = am
+    return obj
+
+
+_MANIFEST = shape.record(
+    _manifest_object,
+    version=shape.one_of(MANIFEST_VERSION),
+    name=shape.URN,
+    seq=shape.record(dict, diss=shape.integer(1), ds=shape.integer(1)),
+    datastreams=shape.list_of(shape.record(
+        lambda id, mime, content_b64: DataStream(id, mime, content_b64),
+        id=_DS_ID,
+        mime=shape.MIME,
+        content_b64=_base64,
+    )),
+    disseminators=shape.list_of(shape.record(
+        lambda id, kind, **fields: Disseminator(id, DisseminatorKind(kind), **fields),
+        id=shape.matches(DISS_ID_RE, "must be a disseminator id"),
+        kind=KINDS,
+        content_type=shape.URN,
+        servlet=shape.URN,
+        bindings=BINDINGS,
+    )),
+    access_managers=shape.list_of(
+        shape.record(dict, target=shape.STRING, scheme=shape.URN, bindings=BINDINGS)
+    ),
+    digest=shape.STRING,
+)
 
 
 def deserialize_object(data: bytes) -> DigitalObjectKernel:
@@ -520,17 +571,10 @@ def deserialize_object(data: bytes) -> DigitalObjectKernel:
     The digest is checked before the shape so that corruption is always
     reported as DIGEST_MISMATCH when the document still parses as JSON.
     """
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and over-long integers.
-        raise MalformedManifest(f"not a JSON document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedManifest("manifest must be a JSON object")
-
-    digest = doc.get("digest")
+    doc = shape.load(data, MalformedManifest, "manifest")
+    digest = doc.get("digest") if isinstance(doc, dict) else None
     if not isinstance(digest, str):
-        raise MalformedManifest("missing digest")
+        raise MalformedManifest("manifest: missing digest")
     try:
         expected = _expected_digest(doc)
     except (UnicodeEncodeError, RecursionError):
@@ -539,100 +583,4 @@ def deserialize_object(data: bytes) -> DigitalObjectKernel:
         raise MalformedManifest("manifest has no canonical encoding") from None
     if expected != digest:
         raise DigestMismatch("manifest digest does not verify")
-
-    extra = set(doc) - _MANIFEST_KEYS
-    if extra:
-        raise MalformedManifest(f"unknown fields: {sorted(extra)}")
-    if doc.get("version") != MANIFEST_VERSION:
-        raise MalformedManifest(f"unsupported version {doc.get('version')!r}")
-
-    name = _manifest_field(doc, "name", str)
-    if not is_urn(name):
-        raise MalformedManifest(f"invalid object name {name!r}")
-    seq = _manifest_field(doc, "seq", dict)
-    if set(seq) != {"diss", "ds"} or not all(type(v) is int and v >= 1 for v in seq.values()):
-        raise MalformedManifest("invalid seq counters")
-
-    obj = DigitalObjectKernel(name=name, next_ds_seq=seq["ds"], next_diss_seq=seq["diss"])
-
-    last_ds = 0
-    for entry in _manifest_field(doc, "datastreams", list):
-        if not isinstance(entry, dict) or set(entry) != {"content_b64", "id", "mime"}:
-            raise MalformedManifest("invalid datastream entry")
-        ds_id, mime, b64 = entry["id"], entry["mime"], entry["content_b64"]
-        m = DS_ID_RE.match(ds_id) if isinstance(ds_id, str) else None
-        if m is None:
-            raise MalformedManifest(f"invalid datastream id {ds_id!r}")
-        n = int(m.group(1))
-        if n <= last_ds or n >= seq["ds"]:
-            raise MalformedManifest(f"datastream id {ds_id} out of order or beyond counter")
-        last_ds = n
-        if not is_mime(mime):
-            raise MalformedManifest(f"invalid mime {mime!r} on {ds_id}")
-        try:
-            content = base64.b64decode(b64, validate=True)
-        except (binascii.Error, TypeError, ValueError):
-            raise MalformedManifest(f"invalid base64 content on {ds_id}") from None
-        obj.datastreams.append(DataStream(ds_id, mime, content))
-
-    last_diss = 0
-    for entry in _manifest_field(doc, "disseminators", list):
-        if not isinstance(entry, dict) or set(entry) != {
-            "bindings", "content_type", "id", "kind", "servlet",
-        }:
-            raise MalformedManifest("invalid disseminator entry")
-        diss_id = entry["id"]
-        m = DISS_ID_RE.match(diss_id) if isinstance(diss_id, str) else None
-        if m is None:
-            raise MalformedManifest(f"invalid disseminator id {diss_id!r}")
-        n = int(m.group(1))
-        if n <= last_diss or n >= seq["diss"]:
-            raise MalformedManifest(f"disseminator id {diss_id} out of order or beyond counter")
-        last_diss = n
-        try:
-            kind = DisseminatorKind(entry["kind"])
-        except ValueError:
-            raise MalformedManifest(f"unknown disseminator kind {entry['kind']!r}") from None
-        if not is_urn(entry["content_type"]) or not is_urn(entry["servlet"]):
-            raise MalformedManifest(f"invalid urn on disseminator {diss_id}")
-        bindings = _decode_bindings(entry["bindings"], obj, f"disseminator {diss_id}")
-        obj.disseminators.append(
-            Disseminator(diss_id, kind, entry["content_type"], entry["servlet"], bindings)
-        )
-
-    for entry in _manifest_field(doc, "access_managers", list):
-        if not isinstance(entry, dict) or set(entry) != {"bindings", "scheme", "target"}:
-            raise MalformedManifest("invalid access manager entry")
-        if not is_urn(entry["scheme"]):
-            raise MalformedManifest(f"invalid scheme urn {entry['scheme']!r}")
-        target = entry["target"]
-        bindings = _decode_bindings(entry["bindings"], obj, f"access manager on {target}")
-        am = AccessManager(f"AM{obj.next_am_seq}", entry["scheme"], bindings)
-        obj.next_am_seq += 1
-        if target == PRIMITIVE_TARGET:
-            if obj.primitive_access_manager is not None:
-                raise MalformedManifest("duplicate PRIMITIVE access manager")
-            obj.primitive_access_manager = am
-        else:
-            diss = obj.find_disseminator(target) if isinstance(target, str) else None
-            if diss is None:
-                raise MalformedManifest(f"access manager targets unknown {target!r}")
-            if diss.access_manager is not None:
-                raise MalformedManifest(f"duplicate access manager on {target}")
-            diss.access_manager = am
-
-    return obj
-
-
-def _decode_bindings(raw, obj: DigitalObjectKernel, where: str) -> dict[str, list[str]]:
-    if not isinstance(raw, dict):
-        raise MalformedManifest(f"{where}: bindings must be an object")
-    out: dict[str, list[str]] = {}
-    for sid, ds_ids in raw.items():
-        if not isinstance(sid, str) or not sid or not isinstance(ds_ids, list):
-            raise MalformedManifest(f"{where}: invalid binding {sid!r}")
-        for d in ds_ids:
-            if not isinstance(d, str) or obj.find_datastream(d) is None:
-                raise MalformedManifest(f"{where}: binding {sid!r} references missing stream {d!r}")
-        out[sid] = list(ds_ids)
-    return out
+    return shape.check(_MANIFEST, doc, MalformedManifest, "manifest")

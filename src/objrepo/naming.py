@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import shape
 from .errors import AlreadyRegistered, BadArguments, NoSuchLocation, NotRegistered
 from .validate import require_endpoint, require_urn
 
@@ -32,18 +33,16 @@ class NamingConfig:
     worker_limit: int = 8
 
 
+_NAMING_CONFIG = shape.record(
+    NamingConfig,
+    listen_endpoint=shape.ENDPOINT,
+    journal_path=shape.optional(shape.NON_EMPTY),
+    worker_limit=shape.optional(shape.integer(1)),
+)
+
+
 def load_naming_config(path: str | Path) -> NamingConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        config = NamingConfig(
-            listen_endpoint=doc["listen_endpoint"],
-            journal_path=doc.get("journal_path"),
-            worker_limit=int(doc.get("worker_limit", 8)),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise BadArguments(f"invalid naming config {path}: {exc}") from None
-    require_endpoint(config.listen_endpoint, "listen_endpoint")
-    return config
+    return shape.parse_file(path, _NAMING_CONFIG, BadArguments, "naming config")
 
 
 def _journal_line(op: str, name: str, location: str, seq: int) -> str:

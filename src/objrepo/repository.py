@@ -11,7 +11,6 @@ briefly leave it at two.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from . import access
+from . import access, shape
 from .api import REPOSITORY_OPS, derive
 from .errors import (
     AccessDenied,
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .kernel import PRIMITIVE_METHODS, DigitalObjectKernel, deserialize_object
 from .typesys import ContentTypeResolver
-from .validate import require_endpoint, require_urn
+from .validate import is_urn, require_endpoint, require_urn
 
 log = logging.getLogger(__name__)
 
@@ -54,26 +53,22 @@ class RepositoryConfig:
     worker_limit: int = 8
 
 
+_REPOSITORY_CONFIG = shape.record(
+    RepositoryConfig,
+    repo_name=shape.URN,
+    storage_root=shape.NON_EMPTY,
+    listen_endpoint=shape.ENDPOINT,
+    naming_endpoint=shape.ENDPOINT,
+    # minted names are urn:<urn_namespace>:<uuid>
+    urn_namespace=shape.holds(
+        lambda v: isinstance(v, str) and is_urn(f"urn:{v}:0"), "must be a urn namespace"
+    ),
+    worker_limit=shape.optional(shape.integer(1)),
+)
+
+
 def load_repository_config(path: str | Path) -> RepositoryConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadArguments(f"cannot read repository config {path}: {exc}") from None
-    try:
-        config = RepositoryConfig(
-            repo_name=doc["repo_name"],
-            storage_root=doc["storage_root"],
-            listen_endpoint=doc["listen_endpoint"],
-            naming_endpoint=doc["naming_endpoint"],
-            urn_namespace=doc["urn_namespace"],
-            worker_limit=int(doc.get("worker_limit", 8)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadArguments(f"invalid repository config {path}: {exc}") from None
-    require_urn(config.repo_name, "repo_name")
-    require_endpoint(config.listen_endpoint, "listen_endpoint")
-    require_endpoint(config.naming_endpoint, "naming_endpoint")
-    return config
+    return shape.parse_file(path, _REPOSITORY_CONFIG, BadArguments, "repository config")
 
 
 def encode_name(name: str) -> str:
@@ -198,7 +193,7 @@ class Repository:
             obj.name = name
             try:
                 self.naming.register(name, self.endpoint)
-            except NamingUnavailable:
+            except Exception:
                 obj.name = None
                 raise
             try:

@@ -7,7 +7,9 @@ small declarative pipeline per method, plus an attachment specification
 describing the datastreams the program needs. Because both documents live
 in ordinary named objects, the type registry is just the repository
 federation itself; :class:`ContentTypeResolver` walks name resolution and
-the built-in document disseminations to fetch them.
+the built-in document disseminations to fetch them. Both formats are
+:mod:`objrepo.shape` schemas, and a step's arguments are checked by the
+step table's own argument checks.
 
 The pipeline step vocabulary is deliberately closed: new behavior comes
 from composing steps into new servlet programs deposited at runtime, never
@@ -16,12 +18,12 @@ from executing foreign code.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, NoReturn
 
+from . import shape
 from .errors import (
     BadArguments,
     MalformedServlet,
@@ -152,155 +154,6 @@ def describe_violations(violations: list[Violation]) -> str:
         f"{v.structure_id}: {v.reason}" + (f" ({v.detail})" if v.detail else "")
         for v in violations
     )
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-
-def _load_json(data: bytes, exc_type, what: str) -> dict:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise exc_type(f"{what}: not a JSON document ({exc})") from None
-    if not isinstance(doc, dict):
-        raise exc_type(f"{what}: top level must be a JSON object")
-    return doc
-
-
-def parse_signature(data: bytes) -> ContentTypeSignature:
-    """Parse a content-type signature document.
-
-    Raises MALFORMED_SIGNATURE with the offending location on any violation:
-    duplicate method or parameter names, unknown parameter types, an empty
-    method list, or an invalid result MIME.
-    """
-    doc = _load_json(data, MalformedSignature, "signature")
-    if set(doc) != {"methods", "type_name"}:
-        raise MalformedSignature(f"signature: expected keys methods/type_name, got {sorted(doc)}")
-    type_name = doc["type_name"]
-    if not isinstance(type_name, str) or not type_name:
-        raise MalformedSignature("type_name: must be a non-empty string")
-    raw_methods = doc["methods"]
-    if not isinstance(raw_methods, list) or not raw_methods:
-        raise MalformedSignature("methods: at least one method is required")
-
-    methods: list[MethodSpec] = []
-    seen_names: set[str] = set()
-    for i, m in enumerate(raw_methods):
-        loc = f"methods[{i}]"
-        if not isinstance(m, dict) or set(m) != {"name", "params", "returns_mime"}:
-            raise MalformedSignature(f"{loc}: expected keys name/params/returns_mime")
-        name = m["name"]
-        if not isinstance(name, str) or not name:
-            raise MalformedSignature(f"{loc}.name: must be a non-empty string")
-        if name in seen_names:
-            raise MalformedSignature(f"{loc}.name: duplicate method {name!r}")
-        seen_names.add(name)
-        if not isinstance(m["params"], list):
-            raise MalformedSignature(f"{loc}.params: must be a list")
-        params: list[MethodParam] = []
-        seen_params: set[str] = set()
-        for j, p in enumerate(m["params"]):
-            ploc = f"{loc}.params[{j}]"
-            if not isinstance(p, dict) or set(p) != {"name", "type"}:
-                raise MalformedSignature(f"{ploc}: expected keys name/type")
-            pname, ptype = p["name"], p["type"]
-            if not isinstance(pname, str) or not pname:
-                raise MalformedSignature(f"{ploc}.name: must be a non-empty string")
-            if pname in seen_params:
-                raise MalformedSignature(f"{ploc}.name: duplicate parameter {pname!r}")
-            seen_params.add(pname)
-            if ptype not in PARAM_TYPES:
-                raise MalformedSignature(f"{ploc}.type: must be one of {PARAM_TYPES}")
-            params.append(MethodParam(pname, ptype))
-        if not is_mime(m["returns_mime"]):
-            raise MalformedSignature(f"{loc}.returns_mime: invalid MIME type")
-        methods.append(MethodSpec(name, tuple(params), m["returns_mime"]))
-    return ContentTypeSignature(type_name, methods)
-
-
-def _parse_step(raw: dict, loc: str, structure_ids: set[str]) -> Step:
-    if not isinstance(raw, dict) or not isinstance(raw.get("op"), str):
-        raise MalformedServlet(f"{loc}: each step must be an object with an 'op'")
-    op = raw["op"]
-    if op not in STEPS:
-        raise UnknownStep(f"{loc}: unknown step {op!r}")
-    names = STEPS[op].args
-    if set(raw) != {"op", *names}:
-        raise MalformedServlet(f"{loc}: {op} takes exactly {names}")
-    for name in names:
-        problem = ARG_CHECKS[name](raw[name], structure_ids)
-        if problem is not None:
-            raise MalformedServlet(f"{loc}.{name}: {problem}")
-    return Step(op, {name: raw[name] for name in names})
-
-
-def _parse_attachment_spec(raw, loc: str) -> AttachmentSpecification:
-    if not isinstance(raw, list) or not raw:
-        raise MalformedServlet(f"{loc}: must be a non-empty list")
-    structures: list[AttachmentStructure] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(raw):
-        eloc = f"{loc}[{i}]"
-        if not isinstance(entry, dict) or set(entry) != {"id", "mime", "ordinality"}:
-            raise MalformedServlet(f"{eloc}: expected keys id/mime/ordinality")
-        sid = entry["id"]
-        if not isinstance(sid, str) or not sid:
-            raise MalformedServlet(f"{eloc}.id: must be a non-empty string")
-        if sid in seen:
-            raise MalformedServlet(f"{eloc}.id: duplicate structure id {sid!r}")
-        seen.add(sid)
-        if entry["mime"] != "*" and not is_mime(entry["mime"]):
-            raise MalformedServlet(f"{eloc}.mime: must be a MIME type or '*'")
-        if entry["ordinality"] not in (ORD_ONE, ORD_MANY):
-            raise MalformedServlet(f"{eloc}.ordinality: must be {ORD_ONE!r} or {ORD_MANY!r}")
-        structures.append(AttachmentStructure(sid, entry["mime"], entry["ordinality"]))
-    return AttachmentSpecification(structures)
-
-
-def parse_servlet_program(data: bytes) -> ServletProgram:
-    """Parse a servlet program: either per-method pipelines or a named
-    builtin, never both."""
-    doc = _load_json(data, MalformedServlet, "servlet")
-    keys = set(doc)
-    if keys == {"attachment_spec", "implements", "methods"}:
-        builtin = None
-    elif keys == {"attachment_spec", "builtin", "implements"}:
-        builtin = doc["builtin"]
-        if not isinstance(builtin, str) or not builtin:
-            raise MalformedServlet("builtin: must be a non-empty string")
-    else:
-        raise MalformedServlet(f"servlet: unexpected keys {sorted(keys)}")
-
-    implements = doc["implements"]
-    if not is_urn(implements):
-        raise MalformedServlet(f"implements: invalid urn {implements!r}")
-    spec = _parse_attachment_spec(doc["attachment_spec"], "attachment_spec")
-
-    methods: dict[str, Pipeline] = {}
-    if builtin is None:
-        raw_methods = doc["methods"]
-        if not isinstance(raw_methods, dict) or not raw_methods:
-            raise MalformedServlet("methods: must be a non-empty object")
-        structure_ids = {s.id for s in spec.structures}
-        for name, body in raw_methods.items():
-            loc = f"methods.{name}"
-            if not isinstance(body, dict) or set(body) != {"pipeline"}:
-                raise MalformedServlet(f"{loc}: expected a single 'pipeline' key")
-            raw_steps = body["pipeline"]
-            if not isinstance(raw_steps, list) or not raw_steps:
-                raise MalformedServlet(f"{loc}.pipeline: must be a non-empty list")
-            steps = [
-                _parse_step(s, f"{loc}.pipeline[{i}]", structure_ids)
-                for i, s in enumerate(raw_steps)
-            ]
-            emits = [i for i, s in enumerate(steps) if s.op == "emit"]
-            if emits != [len(steps) - 1]:
-                raise MalformedServlet(f"{loc}.pipeline: exactly one emit, as the last step")
-            methods[name] = Pipeline(steps)
-
-    return ServletProgram(implements, spec, methods, builtin)
 
 
 # ---------------------------------------------------------------------------
@@ -444,51 +297,23 @@ def parse_structure_rows(data: bytes) -> list[list[str]]:
 # the pipeline step vocabulary
 #
 # An argument name means the same thing in every op that takes it, so its
-# value check is written once: it returns what is wrong with a value, or None.
-
-
-def _string(value, structure_ids: set[str]) -> str | None:
-    return None if isinstance(value, str) else "must be a string"
-
-
-def _structure_id(value, structure_ids: set[str]) -> str | None:
-    if not isinstance(value, str):
-        return "must be a string"
-    return None if value in structure_ids else f"undeclared structure id {value!r}"
-
-
-def _whole(value, minimum: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
-def _index(value, structure_ids: set[str]) -> str | None:
-    if isinstance(value, str):
-        return None if value.startswith("$") else "must be an integer or a $parameter"
-    return None if _whole(value, 1) else "must be a positive integer or a $parameter"
-
-
-def _column(minimum: int):
-    def check(value, structure_ids: set[str]) -> str | None:
-        return None if _whole(value, minimum) else f"must be a column index of at least {minimum}"
-
-    return check
-
-
-def _mime(value, structure_ids: set[str]) -> str | None:
-    return None if is_mime(value) else "invalid MIME type"
+# value check is written once.
 
 
 #: argument name -> its value check
 ARG_CHECKS = {
-    "id": _structure_id,
-    "index": _index,
-    "column_in": _column(0),
-    "column_out": _column(1),
-    "field": _string,
-    "key": _string,
-    "separator": _string,
-    "text": _string,
-    "mime": _mime,
+    "id": shape.STRING,  # a declared structure id, checked across the program
+    "index": shape.holds(
+        lambda v: v.startswith("$") if isinstance(v, str) else type(v) is int and v >= 1,
+        "must be a positive integer or a $parameter",
+    ),
+    "column_in": shape.integer(0),
+    "column_out": shape.integer(1),
+    "field": shape.STRING,
+    "key": shape.STRING,
+    "separator": shape.STRING,
+    "text": shape.STRING,
+    "mime": shape.MIME,
 }
 
 #: Arguments whose ``$name`` value is the method argument ``name``; every
@@ -653,6 +478,94 @@ STEPS = {
     "structure_lookup": StepDef(("column_in", "column_out", "key"), _Frame.structure_lookup),
     "emit": StepDef(("mime",), _Frame.emit),
 }
+
+
+# ---------------------------------------------------------------------------
+# parsing
+#
+# Each document format is a schema of shape checks. Its ``make`` functions
+# build the parsed objects and hold the checks across fields.
+
+_PARAM = shape.record(MethodParam, name=shape.NON_EMPTY, type=shape.one_of(*PARAM_TYPES))
+_SIGNATURE = shape.record(
+    ContentTypeSignature,
+    type_name=shape.NON_EMPTY,
+    methods=shape.list_of(shape.record(
+        lambda name, params, returns_mime: MethodSpec(name, tuple(params), returns_mime),
+        name=shape.NON_EMPTY,
+        params=shape.list_of(_PARAM, unique="name"),
+        returns_mime=shape.MIME,
+    ), non_empty=True, unique="name"),
+)
+
+
+def parse_signature(data: bytes) -> ContentTypeSignature:
+    """Parse a content-type signature document.
+
+    Raises MALFORMED_SIGNATURE with the offending location on any violation:
+    duplicate method or parameter names, unknown parameter types, an empty
+    method list, or an invalid result MIME.
+    """
+    return shape.parse(data, _SIGNATURE, MalformedSignature, "signature")
+
+
+#: op -> the shape of its step: the op and exactly the arguments STEPS gives it
+_STEP_SHAPES = {
+    op: shape.record(lambda op, **args: Step(op, args), op=shape.STRING,
+                     **{name: ARG_CHECKS[name] for name in row.args})
+    for op, row in STEPS.items()
+}
+
+
+def _step(raw) -> Step:
+    op = raw.get("op") if isinstance(raw, dict) else None
+    if not isinstance(op, str):
+        raise shape.Invalid("each step must be an object with an 'op'")
+    if op not in _STEP_SHAPES:
+        raise shape.Invalid(f"unknown step {op!r}", error=UnknownStep)
+    return _STEP_SHAPES[op](raw)
+
+
+def _pipeline(pipeline: list[Step]) -> Pipeline:
+    if [step.op for step in pipeline].count("emit") != 1 or pipeline[-1].op != "emit":
+        raise shape.Invalid("exactly one emit, as the last step", ["pipeline"])
+    return Pipeline(pipeline)
+
+
+def _program(implements, attachment_spec, methods=None, builtin=None) -> ServletProgram:
+    """Pipelines or a builtin, and every step's ``id`` a declared structure."""
+    if (methods is None) == (builtin is None):
+        raise shape.Invalid("needs exactly one of the keys methods/builtin")
+    declared = {s.id for s in attachment_spec}
+    for name, pipeline in (methods or {}).items():
+        for i, step in enumerate(pipeline.steps):
+            if "id" in step.args and step.args["id"] not in declared:
+                where = ["methods", name, "pipeline", i, "id"]
+                raise shape.Invalid(f"undeclared structure id {step.args['id']!r}", where)
+    spec = AttachmentSpecification(attachment_spec)
+    return ServletProgram(implements, spec, methods or {}, builtin)
+
+
+_STRUCTURE = shape.record(
+    AttachmentStructure,
+    id=shape.NON_EMPTY,
+    mime=shape.holds(lambda v: v == "*" or is_mime(v), "must be a MIME type or '*'"),
+    ordinality=shape.one_of(ORD_ONE, ORD_MANY),
+)
+_PIPELINE = shape.record(_pipeline, pipeline=shape.list_of(_step, non_empty=True))
+_SERVLET = shape.record(
+    _program,
+    implements=shape.URN,
+    attachment_spec=shape.list_of(_STRUCTURE, non_empty=True, unique="id"),
+    methods=shape.optional(shape.map_of(shape.STRING, _PIPELINE, non_empty=True)),
+    builtin=shape.optional(shape.NON_EMPTY),
+)
+
+
+def parse_servlet_program(data: bytes) -> ServletProgram:
+    """Parse a servlet program: either per-method pipelines or a named
+    builtin, never both."""
+    return shape.parse(data, _SERVLET, MalformedServlet, "servlet")
 
 
 # ---------------------------------------------------------------------------

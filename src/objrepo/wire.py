@@ -5,7 +5,8 @@ an opaque byte stream (datastream content, disseminations, manifests); those
 travel as raw bodies under their own MIME. The caller's principal rides in
 the ``X-Principal`` header and defaults to "anonymous". Every failure maps
 to one (status, error-code) pair, so a wire round-trip surfaces exactly the
-error an in-process call would raise.
+error an in-process call would raise. A JSON request body must fit its
+operation's ``body_shape``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import replace
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from . import errors
+from . import errors, shape
 from .api import DEFAULT_PRINCIPAL, NAMING_OPS, RAW, REPOSITORY_OPS, Op, derive
 from .errors import (
     BadArguments,
@@ -62,21 +63,14 @@ def _json(doc: dict, status: int = 200) -> tuple[int, str, bytes]:
 def _decode(op: Op, match, body: bytes, headers, query: dict) -> dict:
     """The arguments of one request, each read from where its row says it travels."""
     doc = {}
-    if op.json_body:
-        try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            doc = None
-        if not isinstance(doc, dict):
-            raise BadArguments("request body must be a JSON object")
+    if op.body_shape is not None:
+        doc = shape.parse(body, op.body_shape, BadArguments, "request body")
     values = {}
     for arg in op.args:
         if arg.where == "path":
             value = urllib.parse.unquote(match[arg.name])
         elif arg.where == "body":
             value = doc.get(arg.key)
-            if not arg.optional and (not isinstance(value, str) or not value):
-                raise BadArguments(f"body field {arg.key!r} must be a non-empty string")
         elif arg.where == "query":
             if len(query.get(arg.key, [])) != 1:
                 raise BadArguments(f"query parameter {arg.key!r} required exactly once")
@@ -406,14 +400,16 @@ class _BaseClient:
                 body = value
             elif arg.where == "content-type":
                 mime = value
-        if op.json_body:
+        if op.body_shape is not None:
             body = json.dumps(doc).encode("utf-8")
         path = op.paths[0].format(**path_args)
         if query:
             path += "?" + urllib.parse.urlencode(query)
         principal = values.get("principal") or self.principal
         reply = self._request(op.verb, path, body=body, mime=mime, principal=principal)
-        return op.unwrap(reply if op.reply == RAW else json.loads(reply[1]))
+        if op.reply != RAW:
+            reply = shape.load(reply[1], self.unreachable_error, f"{self.endpoint} reply")
+        return op.unwrap(reply)
 
 
 @derive(REPOSITORY_OPS)

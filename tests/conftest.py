@@ -136,6 +136,23 @@ def stub_resolver() -> StubResolver:
     return resolver
 
 
+@pytest.fixture(autouse=True)
+def close_naming_journals(monkeypatch):
+    """Close the journal of every naming service a test made itself once the
+    test is over; fixtures that own a service close it on teardown."""
+    opened = []
+    init = NamingService.__init__
+
+    def init_and_keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(NamingService, "__init__", init_and_keep)
+    yield
+    for service in opened:
+        service.close()
+
+
 # ---------------------------------------------------------------------------
 # in-process federation
 
@@ -206,13 +223,17 @@ def make_federation(tmp_path, n_repos: int = 1, with_types: bool = True, journal
 
 
 @pytest.fixture
-def federation(tmp_path) -> Federation:
-    return make_federation(tmp_path, n_repos=1)
+def federation(tmp_path):
+    fed = make_federation(tmp_path, n_repos=1)
+    yield fed
+    fed.naming.inner.close()
 
 
 @pytest.fixture
-def federation3(tmp_path) -> Federation:
-    return make_federation(tmp_path, n_repos=3)
+def federation3(tmp_path):
+    fed = make_federation(tmp_path, n_repos=3)
+    yield fed
+    fed.naming.inner.close()
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +300,7 @@ class WireFederation:
         for server in self.servers:
             server.stop()
         self.naming_server.stop()
+        self.naming_service.close()
 
 
 def make_wire_federation(tmp_path, n_repos: int = 1, with_types: bool = True) -> WireFederation:

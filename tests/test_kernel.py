@@ -531,6 +531,15 @@ def test_malformed_manifests_rejected(stub_resolver):
         deserialize_object(corrupt(lambda d: d["access_managers"][0].update(target="DISS9")))
 
 
+@pytest.mark.parametrize("key, prefix", [("datastreams", "DS"), ("disseminators", "DISS")])
+def test_ids_longer_than_int_converts_are_malformed(stub_resolver, key, prefix):
+    doc = json.loads(named(marc_object(stub_resolver)).serialize())
+    doc[key][0]["id"] = prefix + "7" * 5000
+    doc["digest"] = sha256_hex(canonical_bytes(dict(doc, digest="")))
+    with pytest.raises(MalformedManifest):
+        deserialize_object(canonical_bytes(doc))
+
+
 def test_id_monotonicity_preserved_across_round_trip(stub_resolver):
     obj = named(marc_object(stub_resolver))
     twin = deserialize_object(obj.serialize())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,8 @@ from objrepo.errors import (
     TargetUnreachable,
 )
 from objrepo.kernel import PRIMITIVE_TARGET, DigitalObjectKernel, deserialize_object
-from objrepo.repository import Repository, load_repository_config
+from objrepo.naming import NamingService, load_naming_config
+from objrepo.repository import Repository, RepositoryConfig, load_repository_config
 
 
 class InjectedFault(Exception):
@@ -474,6 +476,62 @@ def test_load_repository_config(tmp_path):
     config = load_repository_config(path)
     assert config.repo_name == "urn:test:repo-r1"
     assert config.worker_limit == 8
+
+
+REPO_CONFIG = {
+    "repo_name": "urn:test:repo-r1",
+    "storage_root": "var/r1",
+    "listen_endpoint": "127.0.0.1:0",
+    "naming_endpoint": "127.0.0.1:9000",
+    "urn_namespace": "test",
+}
+NAMING_CONFIG = {"listen_endpoint": "127.0.0.1:0", "journal_path": "var/naming.jsonl"}
+CONFIG_LOADERS = {
+    "repo": (load_repository_config, REPO_CONFIG),
+    "naming": (load_naming_config, NAMING_CONFIG),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("repo", "worker_limt", 8),
+        ("repo", "storage_root", 5),
+        ("repo", "storage_root", None),
+        ("repo", "storage_root", ["x"]),
+        *[("repo", "worker_limit", v) for v in (True, "8", 8.9, 0, -3)],
+        ("repo", "urn_namespace", "Demo Space"),
+        ("repo", "urn_namespace", 5),
+        ("naming", "worker_limt", 8),
+        *[("naming", "journal_path", v) for v in (5, None, ["x"])],
+        *[("naming", "worker_limit", v) for v in (True, "8", 8.9, 0, -3)],
+    ],
+)
+def test_configs_refuse_what_they_cannot_use(tmp_path, kind, key, value):
+    load, good = CONFIG_LOADERS[kind]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(good))
+    load(path)
+    path.write_text(json.dumps(dict(good, **{key: value})))
+    with pytest.raises(BadArguments):
+        load(path)
+
+
+def test_failed_registration_leaves_the_object_unnamed(tmp_path):
+    """A namespace that forms no URN, as an in-process config may give."""
+    config = RepositoryConfig("urn:test:r", str(tmp_path), "r.local:80", "n.local:80", "Demo Space")
+    repo = Repository(config, NamingService(), None)
+    handle = repo.create_object()
+    with pytest.raises(BadArguments):
+        repo.deposit(handle)
+    assert repo.staged(handle).object_name is None
+
+
+def test_shipped_configs_load():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert load_naming_config(configs / "naming.json").worker_limit == 8
+    for path in sorted(configs.glob("repo-*.json")):
+        assert load_repository_config(path).urn_namespace == "demo"
 
 
 def test_concurrent_writers_on_distinct_objects(federation):

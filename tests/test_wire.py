@@ -269,6 +269,47 @@ def test_malformed_request_bodies(wire_federation):
     assert (status, doc["error"]) == (400, "BAD_ARGUMENTS")
 
 
+#: request bodies that ``json.loads`` recurses on or cannot convert
+PARSER_ESCAPES = {
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": b'{"target": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("escape", sorted(PARSER_ESCAPES))
+def test_parser_escapes_in_request_bodies_get_400(wire_federation, escape):
+    fed = wire_federation
+    name = wire_marc_object(fed, acl=None)
+    for endpoint, method, path in [
+        (fed.naming_server.endpoint, "PUT", "/names/urn%3Atest%3Aescape"),
+        (fed.servers[0].endpoint, "POST", f"/objects/{quote(name)}/replicate"),
+    ]:
+        status, doc = probe(endpoint, method, path, PARSER_ESCAPES[escape])
+        assert (status, doc["error"]) == (400, "BAD_ARGUMENTS"), path
+    with pytest.raises(NotRegistered):
+        fed.naming_client.resolve("urn:test:escape")
+
+
+def test_request_body_with_an_unknown_field_gets_400(wire_federation):
+    fed = wire_federation
+    body = json.dumps({"location": "a.local:81", "locaton": "b.local:82"}).encode()
+    status, doc = probe(fed.naming_server.endpoint, "PUT", "/names/urn%3Atest%3Atypo", body)
+    assert (status, doc["error"]) == (400, "BAD_ARGUMENTS")
+    with pytest.raises(NotRegistered):
+        fed.naming_client.resolve("urn:test:typo")
+
+
+def test_deeply_nested_acl_gets_malformed_acl(wire_federation):
+    fed = wire_federation
+    name = wire_marc_object(fed, acl=PARSER_ESCAPES["deep-nesting"])
+    query = urllib.parse.urlencode({"type": fed.types["type-dc"], "method": "getDCRecord"})
+    status, doc = probe(
+        fed.servers[0].endpoint, "GET", f"/objects/{quote(name)}/dissemination?{query}",
+        headers={"X-Principal": "alice"},
+    )
+    assert (status, doc["error"]) == (400, "MALFORMED_ACL")
+
+
 def _raw_exchange(endpoint: str, request: bytes) -> bytes:
     """Send raw bytes on a connection of their own; everything the server
     sends until it closes."""
