@@ -130,14 +130,14 @@ def apply_transforms(decision: AccessDecision, mime: str, data: bytes) -> tuple[
     return mime, data
 
 
-def enforce(am, resolver, obj, method: str, principal: str, invoke) -> tuple[str, bytes]:
+def enforce(am, resolver, obj, method: str, principal: str, invoke, transform: bool = True):
     """Mediate one request: no manager means open access; a deny raises
-    before ``invoke`` runs; an allow pipes the result through the decision's
-    transforms."""
+    before ``invoke`` runs; an allow returns its result, piped through the
+    decision's transforms when ``transform`` says it is (mime, bytes)."""
     if am is None:
         return invoke()
     decision = evaluate(am, resolver, obj, method, principal)
     if decision.effect == DENY:
         raise AccessDenied(decision.reason)
-    mime, data = invoke()
-    return apply_transforms(decision, mime, data)
+    result = invoke()
+    return apply_transforms(decision, *result) if transform else result

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from . import access, shape, typesys
 from .canonical import canonical_bytes, sha256_hex
@@ -47,19 +48,32 @@ MANIFEST_VERSION = "objrepo-manifest-1"
 
 PRIMITIVE_TARGET = "PRIMITIVE"
 
-#: Structural request names an ACL on the primitive target may reference.
-PRIMITIVE_METHODS = (
-    "CreateDataStream",
-    "GetDataStreams",
-    "GetDataStreamContent",
-    "CreateDisseminator",
-    "GetDisseminators",
-    "ListDisseminatorTypes",
-    "ListDisseminatorMethods",
-    "GetDissemination",
-    "SetAccessManager",
-    "GetAccessManager",
+
+class Primitive(NamedTuple):
+    """One structural or gateway request every object answers."""
+
+    request: str  # its name in an ACL on the PRIMITIVE target
+    method: str  # the DigitalObjectKernel method that serves it
+    writes: bool = False
+    transforms: bool = False  # output transforms apply to its (mime, bytes) result
+    resolver: bool = False  # the method takes the content-type resolver
+
+
+PRIMITIVES = (
+    Primitive("CreateDataStream", "create_datastream", writes=True),
+    Primitive("GetDataStreams", "get_datastreams"),
+    Primitive("GetDataStreamContent", "get_datastream_content", transforms=True),
+    Primitive("CreateDisseminator", "create_disseminator", writes=True, resolver=True),
+    Primitive("GetDisseminators", "get_disseminators"),
+    Primitive("ListDisseminatorTypes", "list_disseminator_types"),
+    Primitive("ListDisseminatorMethods", "list_disseminator_methods", resolver=True),
+    Primitive("GetDissemination", "get_dissemination", transforms=True, resolver=True),
+    Primitive("SetAccessManager", "set_access_manager", writes=True, resolver=True),
+    Primitive("GetAccessManager", "get_access_manager"),
 )
+
+#: Structural request names an ACL on the primitive target may reference.
+PRIMITIVE_METHODS = tuple(p.request for p in PRIMITIVES)
 
 
 class DisseminatorKind(str, Enum):
@@ -148,6 +162,15 @@ class DigitalObjectKernel:
     # Access-manager ids are session-local: the manifest stores managers by
     # target, so ids are reassigned on load and excluded from equality.
     next_am_seq: int = 1
+
+    def copy(self) -> DigitalObjectKernel:
+        """A copy for one write to change: new lists and disseminator records,
+        shared stream records and bytes, which no write changes."""
+        return replace(
+            self,
+            datastreams=list(self.datastreams),
+            disseminators=[replace(d) for d in self.disseminators],
+        )
 
     # -- lookup helpers -------------------------------------------------
 

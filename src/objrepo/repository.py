@@ -7,24 +7,31 @@ ship the canonical manifest to a peer repository and adjust the name's
 location set; migration is deliberately multi-phase and never leaves a name
 without at least one serving location, though a crash between phases can
 briefly leave it at two.
+
+Each object is served as a published version that nothing changes. A read
+runs on the version it finds, without a lock. The writes of one object run
+one at a time, each on a copy that is persisted, if the object is deposited,
+before one assignment publishes it. So a read that overlaps a write returns
+the version before it, a read issued after a write's reply sees that write,
+and a failed write changes nothing that is served or stored.
 """
 
 from __future__ import annotations
 
+import inspect
 import logging
 import threading
 import time
 import urllib.parse
 import uuid
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 from . import access, shape
-from .api import REPOSITORY_OPS, derive
+from .api import DEFAULT_PRINCIPAL, REPOSITORY_OPS, derive
 from .errors import (
-    AccessDenied,
     AlreadyPresent,
     BadArguments,
     DigestMismatch,
@@ -36,7 +43,7 @@ from .errors import (
     NotRegistered,
     TargetUnreachable,
 )
-from .kernel import PRIMITIVE_METHODS, DigitalObjectKernel, deserialize_object
+from .kernel import PRIMITIVES, DigitalObjectKernel, Primitive, deserialize_object
 from .typesys import ContentTypeResolver
 from .validate import is_urn, require_endpoint, require_urn
 
@@ -144,8 +151,8 @@ class Repository:
         self.store = ObjectStore(config.storage_root)
         self._objects = self.store.load_all()
         self._staged: dict[str, DigitalObjectKernel] = {}
-        # key -> RLock, kept only while a `with` block or an ObjectSession
-        # holds it, so a waiter and a newcomer always share the same lock.
+        # key -> RLock, kept only while a `with` block holds it, so a waiter
+        # and a newcomer always share the same lock.
         self._locks = weakref.WeakValueDictionary()
         self._guard = threading.Lock()
         #: test seam: called with a phase-boundary label during replicate/move
@@ -154,11 +161,23 @@ class Repository:
     # -- internals --------------------------------------------------------
 
     def _lock_for(self, key: str) -> threading.RLock:
+        """The lock that serializes the writes of one object."""
         with self._guard:
             lock = self._locks.get(key)
             if lock is None:
                 lock = self._locks[key] = threading.RLock()
             return lock
+
+    def _version(self, key: str, staged: bool = False) -> DigitalObjectKernel:
+        """The published version of a staged object by handle, or of a
+        deposited one by name."""
+        with self._guard:
+            obj = (self._staged if staged else self._objects).get(key)
+        if obj is None and staged:
+            raise NoSuchHandle(f"no staged object {key!r}")
+        if obj is None:
+            raise NoSuchObject(f"{key} is not contained in this repository")
+        return obj
 
     def _fault(self, point: str) -> None:
         if self.fault_hook is not None:
@@ -174,28 +193,16 @@ class Repository:
         return handle
 
     def staged(self, handle: str) -> "ObjectSession":
-        with self._guard:
-            obj = self._staged.get(handle)
-        if obj is None:
-            raise NoSuchHandle(f"no staged object {handle!r}")
-        return ObjectSession(self, obj, key=handle, staged_handle=handle)
+        return ObjectSession(self, handle, staged=True)
 
     def deposit(self, handle: str) -> str:
         """Seal a staged object with a minted URN, persist it, and register
         the name. A naming failure aborts atomically: the object stays
         staged and unnamed."""
         with self._lock_for(handle):
-            with self._guard:
-                obj = self._staged.get(handle)
-            if obj is None:
-                raise NoSuchHandle(f"no staged object {handle!r}")
             name = f"urn:{self.config.urn_namespace}:{uuid.uuid4()}"
-            obj.name = name
-            try:
-                self.naming.register(name, self.endpoint)
-            except Exception:
-                obj.name = None
-                raise
+            obj = replace(self._version(handle, staged=True), name=name)
+            self.naming.register(name, self.endpoint)
             try:
                 self.store.save(obj)
             except Exception:
@@ -204,7 +211,6 @@ class Repository:
                     self.naming.remove_location(name, self.endpoint)
                 except (NamingUnavailable, NotRegistered, NoSuchLocation):
                     log.warning("could not undo naming registration for %s", name)
-                obj.name = None
                 raise
             with self._guard:
                 self._objects[name] = obj
@@ -213,11 +219,7 @@ class Repository:
 
     def access(self, name: str) -> "ObjectSession":
         require_urn(name)
-        with self._guard:
-            obj = self._objects.get(name)
-        if obj is None:
-            raise NoSuchObject(f"{name} is not contained in this repository")
-        return ObjectSession(self, obj, key=name)
+        return ObjectSession(self, name)
 
     def contains(self, name: str) -> bool:
         with self._guard:
@@ -232,8 +234,7 @@ class Repository:
         the naming service is unavailable nothing is deleted."""
         require_urn(name)
         with self._lock_for(name):
-            if not self.contains(name):
-                raise NoSuchObject(f"{name} is not contained in this repository")
+            self._version(name)
             try:
                 self.naming.remove_location(name, self.endpoint)
             except (NotRegistered, NoSuchLocation):
@@ -241,14 +242,6 @@ class Repository:
             self.store.delete(name)
             with self._guard:
                 del self._objects[name]
-
-    def _manifest_snapshot(self, name: str) -> bytes:
-        with self._lock_for(name):
-            with self._guard:
-                obj = self._objects.get(name)
-            if obj is None:
-                raise NoSuchObject(f"{name} is not contained in this repository")
-            return obj.serialize()
 
     def replicate(self, name: str, target: str) -> None:
         """Copy the manifest to a peer and add it as a resolve location.
@@ -261,7 +254,7 @@ class Repository:
         require_endpoint(target, "target")
         if target == self.endpoint:
             raise AlreadyPresent(f"{name} is already at {target}")
-        manifest = self._manifest_snapshot(name)
+        manifest = self._version(name).serialize()
         self._fault("replicate:before-transfer")
         self.client_factory(target).receive_manifest(manifest)
         self._fault("replicate:after-transfer")
@@ -270,20 +263,22 @@ class Repository:
     def move(self, name: str, target: str) -> None:
         """Migrate to a peer: copy manifest, add target location, drop the
         source location, then delete locally. A fault between phases leaves
-        the name resolvable at one location or two, never at none."""
+        the name resolvable at one location or two, never at none. Writes of
+        the object wait until the move ends, so none is answered and then
+        left behind."""
         require_urn(name)
         require_endpoint(target, "target")
         if target == self.endpoint:
             raise AlreadyPresent(f"{name} is already at {target}")
-        manifest = self._manifest_snapshot(name)
-        self._fault("move:before-copy")
-        self.client_factory(target).receive_manifest(manifest)
-        self._fault("move:after-copy")
-        self.naming.add_location(name, target)
-        self._fault("move:after-naming-add")
-        self.naming.remove_location(name, self.endpoint)
-        self._fault("move:after-naming-remove")
         with self._lock_for(name):
+            manifest = self._version(name).serialize()
+            self._fault("move:before-copy")
+            self.client_factory(target).receive_manifest(manifest)
+            self._fault("move:after-copy")
+            self.naming.add_location(name, target)
+            self._fault("move:after-naming-add")
+            self.naming.remove_location(name, self.endpoint)
+            self._fault("move:after-naming-remove")
             self.store.delete(name)
             with self._guard:
                 self._objects.pop(name, None)
@@ -303,102 +298,64 @@ class Repository:
 
 
 class ObjectSession:
-    """Kernel operations on one object, mediated by the primitive access
-    manager and persisted through the owning repository when the object has
-    been deposited."""
+    """One method per :data:`~objrepo.kernel.PRIMITIVES` row on a staged or
+    deposited object. Opening it and each call look the object up, so once
+    it is deposited, moved or deleted the session fails as the lookup does."""
 
-    def __init__(self, repo: Repository, obj: DigitalObjectKernel, key: str, staged_handle=None):
+    def __init__(self, repo: Repository, key: str, staged: bool = False):
+        repo._version(key, staged)
         self._repo = repo
-        self._obj = obj
-        self._lock = repo._lock_for(key)
-        self._staged_handle = staged_handle
+        self._key = key
+        self._staged = staged
+        self.object_name = None if staged else key
 
-    @property
-    def object_name(self) -> str | None:
-        return self._obj.name
+    def _run(self, row: Primitive, principal: str, args, kwargs: dict):
+        """``row``'s kernel method on the published version, once the
+        primitive access manager, if any, allows it; a write runs on a copy,
+        persisted if the object is deposited, then published."""
+        repo = self._repo
 
-    def _check_live(self) -> None:
-        # Sessions go stale when the object is deposited, moved or deleted.
-        if self._staged_handle is not None:
-            with self._repo._guard:
-                if self._repo._staged.get(self._staged_handle) is not self._obj:
-                    raise NoSuchHandle(f"no staged object {self._staged_handle!r}")
-        else:
-            with self._repo._guard:
-                if self._repo._objects.get(self._obj.name) is not self._obj:
-                    raise NoSuchObject(f"{self._obj.name} is not contained in this repository")
+        def serve(version: DigitalObjectKernel):
+            work = partial(getattr(version, row.method), *args, **kwargs)
+            pam = version.primitive_access_manager
+            return access.enforce(
+                pam, repo.resolver, version, row.request, principal, work, row.transforms
+            )
 
-    def _run(self, request: str, principal: str, work, persist=False, transform=False):
-        """``work()`` under the object lock, once the session is live and the
-        primitive access manager, if any, allows ``request``. ``persist``
-        stores a deposited object afterwards; ``transform`` applies the
-        decision's output transforms to a (mime, bytes) result."""
-        assert request in PRIMITIVE_METHODS, request
-        with self._lock:
-            self._check_live()
-            decision = None
-            pam = self._obj.primitive_access_manager
-            if pam is not None:
-                decision = access.evaluate(pam, self._repo.resolver, self._obj, request, principal)
-                if decision.effect == access.DENY:
-                    raise AccessDenied(decision.reason)
-            result = work()
-            if persist and self._staged_handle is None:
-                self._repo.store.save(self._obj)
-            if transform and decision is not None:
-                result = access.apply_transforms(decision, *result)
-            return result
+        if not row.writes:
+            return serve(repo._version(self._key, self._staged))
+        with repo._lock_for(self._key):
+            version = repo._version(self._key, self._staged).copy()
+            result = serve(version)
+            if not self._staged:
+                repo.store.save(version)
+            with repo._guard:
+                (repo._staged if self._staged else repo._objects)[self._key] = version
+        return result
 
-    # -- structural -------------------------------------------------------
 
-    def create_datastream(self, mime: str, content: bytes, principal: str = "anonymous") -> str:
-        work = partial(self._obj.create_datastream, mime, content)
-        return self._run("CreateDataStream", principal, work, persist=True)
+def _session_method(row: Primitive):
+    """The session method for ``row``: the kernel method's arguments, then
+    the caller's ``principal``, which the kernel method also gets if it
+    takes one; the resolver is filled in."""
+    params = inspect.signature(getattr(DigitalObjectKernel, row.method)).parameters
+    arity = len([n for n in params if n not in ("self", "principal", "resolver")])
 
-    def get_datastreams(self, principal: str = "anonymous"):
-        return self._run("GetDataStreams", principal, self._obj.get_datastreams)
+    def method(self, *args, principal: str = DEFAULT_PRINCIPAL, **kwargs):
+        if len(args) == arity + 1:  # the principal given by position
+            *args, principal = args
+        if "principal" in params:
+            kwargs["principal"] = principal
+        if row.resolver:
+            kwargs["resolver"] = self._repo.resolver
+        return self._run(row, principal, args, kwargs)
 
-    def get_datastream_content(self, ds_id: str, principal: str = "anonymous"):
-        work = partial(self._obj.get_datastream_content, ds_id)
-        return self._run("GetDataStreamContent", principal, work, transform=True)
+    method.__name__ = method.__qualname__ = row.method
+    return method
 
-    # -- gateway ------------------------------------------------------------
 
-    def create_disseminator(
-        self, kind, content_type: str, servlet: str, bindings, principal: str = "anonymous"
-    ) -> str:
-        work = partial(
-            self._obj.create_disseminator, kind, content_type, servlet, bindings, self._repo.resolver
-        )
-        return self._run("CreateDisseminator", principal, work, persist=True)
-
-    def get_disseminators(self, principal: str = "anonymous"):
-        return self._run("GetDisseminators", principal, self._obj.get_disseminators)
-
-    def list_disseminator_types(self, principal: str = "anonymous") -> list[str]:
-        return self._run("ListDisseminatorTypes", principal, self._obj.list_disseminator_types)
-
-    def list_disseminator_methods(self, content_type: str, principal: str = "anonymous"):
-        work = partial(self._obj.list_disseminator_methods, content_type, self._repo.resolver)
-        return self._run("ListDisseminatorMethods", principal, work)
-
-    def get_dissemination(
-        self, content_type: str, method: str, args: dict, principal: str = "anonymous"
-    ):
-        work = partial(
-            self._obj.get_dissemination, content_type, method, args, principal, self._repo.resolver
-        )
-        return self._run("GetDissemination", principal, work, transform=True)
-
-    # -- access managers ------------------------------------------------------
-
-    def set_access_manager(self, target: str, scheme: str, bindings, principal: str = "anonymous") -> str:
-        work = partial(self._obj.set_access_manager, target, scheme, bindings, self._repo.resolver)
-        return self._run("SetAccessManager", principal, work, persist=True)
-
-    def get_access_manager(self, target: str, principal: str = "anonymous"):
-        work = partial(self._obj.get_access_manager, target)
-        return self._run("GetAccessManager", principal, work)
+for _row in PRIMITIVES:
+    setattr(ObjectSession, _row.method, _session_method(_row))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ own error class.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -93,8 +94,16 @@ def matches(pattern, problem: str) -> Check:
     return holds(lambda value: isinstance(value, str) and bool(pattern.match(value)), problem)
 
 
-STRING = holds(lambda value: isinstance(value, str), "must be a string")
-NON_EMPTY = holds(lambda value: isinstance(value, str) and value != "", "must not be empty")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _is_text(value) -> bool:
+    """A string with a UTF-8 form, which text holding a lone surrogate lacks."""
+    return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
+
+
+STRING = holds(_is_text, "must be UTF-8 text")
+NON_EMPTY = holds(lambda value: value != "" and _is_text(value), "must be non-empty UTF-8 text")
 URN = holds(is_urn, "must be a urn")
 MIME = holds(is_mime, "must be a MIME type")
 ENDPOINT = holds(is_endpoint, "must look like host:port")

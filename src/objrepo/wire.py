@@ -18,6 +18,7 @@ import re
 import select
 import socket
 import threading
+import time
 import urllib.parse
 from dataclasses import replace
 from http import HTTPStatus
@@ -187,9 +188,9 @@ class _Handler(BaseHTTPRequestHandler):
 class WireServer(ThreadingHTTPServer):
     """An embeddable HTTP server; handlers run concurrently, bounded by the
     configured worker limit. Each connection has a thread of its own for as
-    long as the client keeps it open; :meth:`stop` closes them all."""
+    long as the client keeps it open; :meth:`stop` closes them all and waits
+    for their threads."""
 
-    daemon_threads = True
     # the listen backlog; at the stdlib's 5, a burst of connects overflows it
     # and each connect past it waits about a second for the SYN to be resent
     request_queue_size = 128
@@ -200,17 +201,21 @@ class WireServer(ThreadingHTTPServer):
         self.context = context
         self.worker_slots = threading.BoundedSemaphore(max(1, worker_limit))
         self._thread: threading.Thread | None = None
-        self._open: set[socket.socket] = set()
+        self._open: dict[socket.socket, threading.Thread] = {}  # connection -> its handler
         self._open_lock = threading.Lock()
 
     def process_request(self, request, client_address):
+        # a daemon, so no client holds the process open; stop() joins it
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
         with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
+            self._open[request] = thread
+        thread.start()
 
     def shutdown_request(self, request):
         with self._open_lock:
-            self._open.discard(request)
+            self._open.pop(request, None)
         super().shutdown_request(request)
 
     @property
@@ -226,18 +231,21 @@ class WireServer(ThreadingHTTPServer):
 
     def stop(self) -> None:
         """Stop accepting and close every open connection, idle ones
-        included, so no pooled client is answered any more."""
+        included, so no pooled client is answered any more. Returns once
+        every handler has ended, or after 5 s."""
         self.shutdown()
         with self._open_lock:
-            open_now = list(self._open)
+            open_now = dict(self._open)
         for request in open_now:
             try:
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:  # already closed by its handler
                 pass
         self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        deadline = time.monotonic() + 5
+        for thread in (self._thread, *open_now.values()):
+            if thread is not None:
+                thread.join(max(0.0, deadline - time.monotonic()))
 
 
 def _split_endpoint(endpoint: str) -> tuple[str, int]:

@@ -18,6 +18,7 @@ from objrepo.errors import (
     DuplicateBuiltin,
     MalformedManifest,
     MalformedMime,
+    MalformedServlet,
     NoSuchDataStream,
     NoSuchDisseminator,
     NoSuchMethod,
@@ -383,6 +384,25 @@ def test_builtin_attachment_spec_dissemination(stub_resolver):
     )
     assert mime == "application/json"
     assert json.loads(data) == [{"id": "pages", "mime": "image/gif", "ordinality": "1:N"}]
+
+
+def test_servlet_document_without_a_utf8_form_is_malformed(stub_resolver):
+    """A lone surrogate parses as JSON but has no canonical encoding, so the
+    attachment spec could never be answered."""
+    obj = DigitalObjectKernel()
+    doc = (
+        b'{"implements":"urn:test:t","builtin":"acl-v1",'
+        b'"attachment_spec":[{"id":"\\ud800","mime":"*","ordinality":"1:1"}]}'
+    )
+    ds = obj.create_datastream("application/x-fedora-servlet+json", doc)
+    obj.create_disseminator(
+        DisseminatorKind.SERVLET, "urn:fedora-builtin:servlet", "urn:fedora-builtin:servlet",
+        {"servlet": [ds]}, stub_resolver,
+    )
+    with pytest.raises(MalformedServlet):
+        obj.get_dissemination(
+            "urn:fedora-builtin:servlet", "getAttachmentSpec", {}, "anonymous", stub_resolver
+        )
 
 
 def test_object_may_carry_both_builtin_kinds(stub_resolver):

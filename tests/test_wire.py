@@ -548,6 +548,34 @@ def test_stopped_server_answers_no_pooled_client(tmp_path):
         fed.clients[0].create_object()
 
 
+def test_stop_returns_once_a_call_in_progress_has_finished(naming_server, monkeypatch):
+    server, service = naming_server
+    started, finished = threading.Event(), threading.Event()
+    register = service.register
+
+    def slow_register(name, location):
+        started.set()
+        time.sleep(0.5)
+        register(name, location)
+        finished.set()
+
+    monkeypatch.setattr(service, "register", slow_register)
+
+    def call():
+        try:
+            NamingClient(server.endpoint).register("urn:x:slow", "a.local:1")
+        except NamingUnavailable:  # stop() closes the connection before the reply
+            pass
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    assert started.wait(5)
+    server.stop()
+    assert finished.is_set()
+    caller.join(5)
+    assert not caller.is_alive()
+
+
 def test_a_burst_of_connects_is_not_held_back(naming_server):
     host, port = naming_server[0].endpoint.rsplit(":", 1)
     socks = []
