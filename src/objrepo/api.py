@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple
 
 from . import shape
 from .errors import BadArguments
-from .kernel import KINDS, DisseminatorKind, builtin_kind_for_urn
+from .kernel import KINDS, DisseminatorKind
+from .typesys import BUILTIN_TYPES
 
 DEFAULT_PRINCIPAL = "anonymous"
 OK = "ok"
@@ -143,7 +144,8 @@ def derive(ops):
 def _add_disseminator(repo, handle, content_type, servlet, bindings, kind, principal) -> str:
     """An omitted kind is the one a reserved type URN implies, else CONTENT."""
     if kind is None:
-        kind = builtin_kind_for_urn(content_type) or DisseminatorKind.CONTENT
+        row = BUILTIN_TYPES.get(content_type)
+        kind = DisseminatorKind.CONTENT if row is None else row.kind
     kind = DisseminatorKind(shape.check(KINDS, kind, BadArguments, "kind"))
     return repo.staged(handle).create_disseminator(kind, content_type, servlet, bindings, principal)
 

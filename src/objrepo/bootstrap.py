@@ -14,7 +14,7 @@ from importlib import resources
 from . import shape
 from .canonical import canonical_bytes
 from .errors import BadArguments
-from .kernel import BUILTIN_KINDS
+from .typesys import BUILTIN_TYPES, TYPE_URNS
 
 
 def load_recipes() -> list[dict]:
@@ -40,9 +40,10 @@ def bootstrap_types(client, recipes: list[dict] | None = None) -> dict[str, str]
     minted: dict[str, str] = {}
     for recipe in recipes:
         label, kind = recipe.get("label"), recipe.get("kind")
-        if not label or kind not in BUILTIN_KINDS:
+        if not label or kind not in TYPE_URNS:
             raise BadArguments(f"invalid type recipe: label={label!r} kind={kind!r}")
-        type_urn, structure_id, mime = BUILTIN_KINDS[kind]
+        type_urn = TYPE_URNS[kind]
+        structure = BUILTIN_TYPES[type_urn].structure
         document = dict(recipe["document"])
         if kind != "SIGNATURE":
             implements = recipe.get("implements", "")
@@ -54,9 +55,9 @@ def bootstrap_types(client, recipes: list[dict] | None = None) -> dict[str, str]
             document["implements"] = implements
 
         handle = client.create_object()
-        ds_id = client.add_datastream(handle, mime, canonical_bytes(document))
+        ds_id = client.add_datastream(handle, structure.mime, canonical_bytes(document))
         client.add_disseminator(
-            handle, content_type=type_urn, bindings={structure_id: [ds_id]}, kind=kind
+            handle, content_type=type_urn, bindings={structure.id: [ds_id]}, kind=kind
         )
         minted[label] = client.deposit(handle)
     return minted

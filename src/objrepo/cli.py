@@ -13,16 +13,17 @@ import argparse
 import base64
 import json
 import os
+import signal
 import sys
 import time
 
+from . import shape
 from .api import NAMING_OPS, REPOSITORY_OPS
 from .bootstrap import bootstrap_types
 from .errors import BadArguments, ObjectRepositoryError
 from .kernel import PRIMITIVE_TARGET
 from .naming import load_naming_config
 from .repository import load_repository_config
-from .validate import require_endpoint
 from .wire import NamingClient, RepositoryClient, serve_naming, serve_repository
 
 
@@ -39,13 +40,15 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
 def _repo_client(args) -> RepositoryClient:
     if not args.repo:
         raise BadArguments("no repository endpoint; pass --repo or set OBJREPO_REPO")
-    return RepositoryClient(require_endpoint(args.repo, "--repo"), principal=args.principal)
+    return RepositoryClient(
+        shape.check(shape.ENDPOINT, args.repo, BadArguments, "--repo"), principal=args.principal
+    )
 
 
 def _naming_client(args) -> NamingClient:
     if not args.naming:
         raise BadArguments("no naming endpoint; pass --naming or set OBJREPO_NAMING")
-    return NamingClient(require_endpoint(args.naming, "--naming"))
+    return NamingClient(shape.check(shape.ENDPOINT, args.naming, BadArguments, "--naming"))
 
 
 def _parse_bindings(pairs) -> dict[str, list[str]]:
@@ -188,28 +191,37 @@ def _cmd_bootstrap_types(args) -> int:
     return 0
 
 
-def _cmd_serve_repo(args) -> int:
-    config = load_repository_config(args.config)
-    server, repo = serve_repository(config)
-    print(f"repository {config.repo_name} serving on {server.endpoint}", file=sys.stderr)
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+def _serve(what: str, start, config):
+    """Run ``start(config)``'s server until SIGINT or SIGTERM, stop it and
+    return its service. The server's threads start with both signals
+    blocked, so the signals reach the main thread and end its sleep."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        server, service = start(config)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+    print(f"{what} serving on {server.endpoint}", file=sys.stderr)
+    for signum in _STOP_SIGNALS:  # SIGINT too, which a shell's `cmd &` ignores
+        signal.signal(signum, signal.default_int_handler)
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()
+    return service
+
+
+def _cmd_serve_repo(args) -> int:
+    config = load_repository_config(args.config)
+    _serve(f"repository {config.repo_name}", serve_repository, config)
     return 0
 
 
 def _cmd_serve_naming(args) -> int:
-    config = load_naming_config(args.config)
-    server, service = serve_naming(config)
-    print(f"naming service on {server.endpoint}", file=sys.stderr)
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        server.stop()
-        service.close()
+    _serve("naming service", serve_naming, load_naming_config(args.config)).close()
     return 0
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from . import access, shape, typesys
@@ -28,6 +30,7 @@ from .errors import (
     DigestMismatch,
     DuplicateBuiltin,
     MalformedManifest,
+    MalformedMime,
     NoSuchDataStream,
     NoSuchDisseminator,
     NoSuchMethod,
@@ -35,14 +38,6 @@ from .errors import (
     SignatureMismatch,
     UndepositedObject,
 )
-from .typesys import (
-    ACCESS_SERVLET_TYPE_URN,
-    SERVLET_MIME,
-    SERVLET_TYPE_URN,
-    SIGNATURE_MIME,
-    SIGNATURE_TYPE_URN,
-)
-from .validate import DISS_ID_RE, DS_ID_RE, mime_base, require_mime, require_urn
 
 MANIFEST_VERSION = "objrepo-manifest-1"
 
@@ -85,26 +80,6 @@ class DisseminatorKind(str, Enum):
 
 KINDS = shape.one_of(*(kind.value for kind in DisseminatorKind))
 
-#: kind -> (reserved type URN, binding structure id, required document MIME)
-BUILTIN_KINDS = {
-    DisseminatorKind.SIGNATURE: (SIGNATURE_TYPE_URN, "signature", SIGNATURE_MIME),
-    DisseminatorKind.SERVLET: (SERVLET_TYPE_URN, "servlet", SERVLET_MIME),
-    DisseminatorKind.ACCESS_MANAGER_SERVLET: (ACCESS_SERVLET_TYPE_URN, "servlet", SERVLET_MIME),
-}
-
-_URN_TO_BUILTIN_KIND = {urn: kind for kind, (urn, _, _) in BUILTIN_KINDS.items()}
-
-#: Native method names served by each built-in kind.
-BUILTIN_METHODS = {
-    DisseminatorKind.SIGNATURE: ("getSignature",),
-    DisseminatorKind.SERVLET: ("getServlet", "getAttachmentSpec"),
-    DisseminatorKind.ACCESS_MANAGER_SERVLET: ("getServlet", "getAttachmentSpec"),
-}
-
-
-def builtin_kind_for_urn(urn: str) -> DisseminatorKind | None:
-    return _URN_TO_BUILTIN_KIND.get(urn)
-
 
 @dataclass
 class DataStream:
@@ -132,6 +107,8 @@ class Disseminator:
     access_manager: AccessManager | None = None
 
 
+DS_ID_RE = re.compile(r"^DS([1-9][0-9]*)$")
+DISS_ID_RE = re.compile(r"^DISS([1-9][0-9]*)$")
 _DS_ID = shape.matches(DS_ID_RE, "must be a datastream id")
 #: structure id -> datastream ids, as requests and manifests carry bindings
 BINDINGS = shape.map_of(shape.NON_EMPTY, shape.list_of(_DS_ID))
@@ -189,7 +166,7 @@ class DigitalObjectKernel:
     # -- structural requests --------------------------------------------
 
     def create_datastream(self, mime: str, content: bytes) -> str:
-        require_mime(mime)
+        shape.check(shape.MIME, mime, MalformedMime, "mime")
         if not isinstance(content, (bytes, bytearray)):
             raise BadArguments("datastream content must be bytes")
         ds_id = f"DS{self.next_ds_seq}"
@@ -220,24 +197,12 @@ class DigitalObjectKernel:
         resolver,
     ) -> str:
         kind = DisseminatorKind(kind)
-        require_urn(content_type, "content_type")
+        shape.check(shape.URN, content_type, BadArguments, "content_type")
         bindings = _request_bindings(bindings)
 
-        if kind is not DisseminatorKind.CONTENT:
-            reserved, structure_id, doc_mime = BUILTIN_KINDS[kind]
-            if content_type != reserved:
-                raise BadArguments(
-                    f"{kind.value} disseminators must use content_type {reserved}"
-                )
-            if kind in (DisseminatorKind.SIGNATURE, DisseminatorKind.SERVLET) and any(
-                d.kind is kind for d in self.disseminators
-            ):
-                raise DuplicateBuiltin(f"object already has a {kind.value} disseminator")
-            self._check_builtin_binding(kind, structure_id, doc_mime, bindings)
-            servlet = reserved
-        else:
-            require_urn(servlet, "servlet")
-            if builtin_kind_for_urn(content_type) is not None:
+        if kind is DisseminatorKind.CONTENT:
+            shape.check(shape.URN, servlet, BadArguments, "servlet")
+            if content_type in typesys.BUILTIN_TYPES:
                 raise BadArguments(f"{content_type} is reserved for built-in disseminators")
             program = resolver.resolve_servlet(servlet)
             signature = resolver.resolve_content_type(content_type)
@@ -246,30 +211,25 @@ class DigitalObjectKernel:
                     f"mechanism implements {program.implements}, not {content_type}"
                 )
             typesys.check_program_against_signature(program, signature)
-            violations = typesys.validate_attachments(program.attachment_spec, bindings, self)
-            if violations:
-                raise AttachmentViolation(typesys.describe_violations(violations))
+            spec = program.attachment_spec
+        else:
+            servlet = typesys.TYPE_URNS[kind.value]
+            if content_type != servlet:
+                raise BadArguments(f"{kind.value} disseminators must use content_type {servlet}")
+            if any(d.kind is kind for d in self.disseminators):
+                raise DuplicateBuiltin(f"object already has a {kind.value} disseminator")
+            spec = typesys.AttachmentSpecification([typesys.BUILTIN_TYPES[servlet].structure])
+        self._check_bindings(spec, bindings)
 
         diss_id = f"DISS{self.next_diss_seq}"
         self.next_diss_seq += 1
         self.disseminators.append(Disseminator(diss_id, kind, content_type, servlet, bindings))
         return diss_id
 
-    def _check_builtin_binding(self, kind, structure_id, doc_mime, bindings) -> None:
-        if set(bindings) != {structure_id}:
-            raise AttachmentViolation(
-                f"{kind.value} disseminator requires exactly the {structure_id!r} binding"
-            )
-        ds_ids = bindings[structure_id]
-        if len(ds_ids) != 1:
-            raise AttachmentViolation(f"{structure_id}: exactly one datastream required")
-        ds = self.find_datastream(ds_ids[0])
-        if ds is None:
-            raise AttachmentViolation(f"{structure_id}: no datastream {ds_ids[0]!r}")
-        if mime_base(ds.mime) != doc_mime:
-            raise AttachmentViolation(
-                f"{structure_id}: expected {doc_mime}, stream {ds.id} is {ds.mime}"
-            )
+    def _check_bindings(self, spec: typesys.AttachmentSpecification, bindings: dict) -> None:
+        violations = typesys.validate_attachments(spec, bindings, self)
+        if violations:
+            raise AttachmentViolation(typesys.describe_violations(violations))
 
     def get_disseminators(self) -> list[dict]:
         return [
@@ -319,66 +279,55 @@ class DigitalObjectKernel:
         resolution bottom out. When several disseminators carry the same
         content type, the first in insertion order serves the request.
         """
-        builtin = builtin_kind_for_urn(content_type)
-        if builtin is not None:
-            return self._builtin_dissemination(builtin, method, args, principal, resolver)
-
-        diss = self._content_disseminator(content_type)
-        signature = resolver.resolve_content_type(content_type)
-        spec = signature.find_method(method)
-        if spec is None:
-            raise NoSuchMethod(f"{content_type} has no method {method!r}")
-        typesys.check_args(spec, args)
-        program = resolver.resolve_servlet(diss.servlet)
-
-        def invoke() -> tuple[str, bytes]:
-            return typesys.execute_servlet(program, signature, diss.bindings, self, method, args)
-
+        row = typesys.BUILTIN_TYPES.get(content_type)
+        if row is None:
+            diss = self._content_disseminator(content_type)
+            signature = resolver.resolve_content_type(content_type)
+            spec = signature.find_method(method)
+            if spec is None:
+                raise NoSuchMethod(f"{content_type} has no method {method!r}")
+            typesys.check_args(spec, args)
+            program = resolver.resolve_servlet(diss.servlet)
+            invoke = partial(
+                typesys.execute_servlet, program, signature, diss.bindings, self, method, args
+            )
+        else:
+            diss = next((d for d in self.disseminators if d.kind == row.kind), None)
+            if diss is None:
+                raise NoSuchTypeOnObject(f"object has no {row.kind} disseminator")
+            if method not in row.methods:
+                raise NoSuchMethod(f"{row.kind} disseminators do not serve {method!r}")
+            if args:
+                raise BadArguments(f"{method} takes no arguments")
+            invoke = partial(self._builtin_document, diss, row, method)
         return access.enforce(diss.access_manager, resolver, self, method, principal, invoke)
 
-    def _builtin_dissemination(self, kind, method, args, principal, resolver) -> tuple[str, bytes]:
-        diss = next((d for d in self.disseminators if d.kind is kind), None)
-        if diss is None:
-            raise NoSuchTypeOnObject(f"object has no {kind.value} disseminator")
-        if method not in BUILTIN_METHODS[kind]:
-            raise NoSuchMethod(f"{kind.value} disseminators do not serve {method!r}")
-        if args:
-            raise BadArguments(f"{method} takes no arguments")
-
-        structure_id = BUILTIN_KINDS[kind][1]
-
-        def invoke() -> tuple[str, bytes]:
-            ds_ids = diss.bindings.get(structure_id, [])
-            ds = self.find_datastream(ds_ids[0]) if ds_ids else None
-            if ds is None:
-                raise NoSuchDataStream(f"{kind.value} document stream is missing")
-            if method == "getAttachmentSpec":
-                program = typesys.parse_servlet_program(ds.content)
-                doc = [
-                    {"id": s.id, "mime": s.mime, "ordinality": s.ordinality}
-                    for s in program.attachment_spec.structures
-                ]
-                return "application/json", canonical_bytes(doc)
+    def _builtin_document(self, diss, row: typesys.BuiltinType, method) -> tuple[str, bytes]:
+        """The bound document, or for ``getAttachmentSpec`` its servlet's
+        attachment specification."""
+        ds_ids = diss.bindings.get(row.structure.id, [])
+        ds = self.find_datastream(ds_ids[0]) if ds_ids else None
+        if ds is None:
+            raise NoSuchDataStream(f"{row.kind} document stream is missing")
+        if method == row.methods[0]:
             return ds.mime, ds.content
-
-        return access.enforce(diss.access_manager, resolver, self, method, principal, invoke)
+        structures = row.parse(ds.content).attachment_spec.structures
+        doc = [{"id": s.id, "mime": s.mime, "ordinality": s.ordinality} for s in structures]
+        return "application/json", canonical_bytes(doc)
 
     # -- access managers --------------------------------------------------
 
     def set_access_manager(self, target: str, scheme: str, bindings, resolver) -> str:
         """Attach a rights scheme to PRIMITIVE or a disseminator, replacing
         any manager already there."""
-        require_urn(scheme, "scheme")
+        shape.check(shape.URN, scheme, BadArguments, "scheme")
         diss = None
         if target != PRIMITIVE_TARGET:
             diss = self.find_disseminator(target)
             if diss is None:
                 raise NoSuchDisseminator(f"no disseminator {target!r}")
         bindings = _request_bindings(bindings)
-        program = resolver.resolve_access_scheme(scheme)
-        violations = typesys.validate_attachments(program.attachment_spec, bindings, self)
-        if violations:
-            raise AttachmentViolation(typesys.describe_violations(violations))
+        self._check_bindings(resolver.resolve_access_scheme(scheme).attachment_spec, bindings)
 
         am = AccessManager(f"AM{self.next_am_seq}", scheme, bindings)
         self.next_am_seq += 1

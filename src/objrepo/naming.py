@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import shape
 from .errors import AlreadyRegistered, BadArguments, NoSuchLocation, NotRegistered
-from .validate import require_endpoint, require_urn
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +75,8 @@ class NamingService:
     # -- operations ------------------------------------------------------
 
     def register(self, name: str, location: str) -> None:
-        require_urn(name)
-        require_endpoint(location)
+        shape.check(shape.URN, name, BadArguments, "name")
+        shape.check(shape.ENDPOINT, location, BadArguments, "location")
         with self._lock:
             if name in self._records:
                 raise AlreadyRegistered(f"{name} is already registered")
@@ -85,13 +84,13 @@ class NamingService:
             self._append("register", name, location, 1)
 
     def resolve(self, name: str) -> list[str]:
-        require_urn(name)
+        shape.check(shape.URN, name, BadArguments, "name")
         with self._lock:
             return list(self._record(name).locations)
 
     def add_location(self, name: str, location: str) -> None:
-        require_urn(name)
-        require_endpoint(location)
+        shape.check(shape.URN, name, BadArguments, "name")
+        shape.check(shape.ENDPOINT, location, BadArguments, "location")
         with self._lock:
             record = self._record(name)
             if location in record.locations:
@@ -101,8 +100,8 @@ class NamingService:
             self._append("add", name, location, seq)
 
     def remove_location(self, name: str, location: str) -> None:
-        require_urn(name)
-        require_endpoint(location)
+        shape.check(shape.URN, name, BadArguments, "name")
+        shape.check(shape.ENDPOINT, location, BadArguments, "location")
         with self._lock:
             record = self._record(name)
             if location not in record.locations:

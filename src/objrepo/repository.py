@@ -45,7 +45,6 @@ from .errors import (
 )
 from .kernel import PRIMITIVES, DigitalObjectKernel, Primitive, deserialize_object
 from .typesys import ContentTypeResolver
-from .validate import is_urn, require_endpoint, require_urn
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +67,8 @@ _REPOSITORY_CONFIG = shape.record(
     naming_endpoint=shape.ENDPOINT,
     # minted names are urn:<urn_namespace>:<uuid>
     urn_namespace=shape.holds(
-        lambda v: isinstance(v, str) and is_urn(f"urn:{v}:0"), "must be a urn namespace"
+        lambda v: isinstance(v, str) and shape.URN_RE.match(f"urn:{v}:0") is not None,
+        "must be a urn namespace",
     ),
     worker_limit=shape.optional(shape.integer(1)),
 )
@@ -218,7 +218,7 @@ class Repository:
             return name
 
     def access(self, name: str) -> "ObjectSession":
-        require_urn(name)
+        shape.check(shape.URN, name, BadArguments, "name")
         return ObjectSession(self, name)
 
     def contains(self, name: str) -> bool:
@@ -232,7 +232,7 @@ class Repository:
     def delete(self, name: str) -> None:
         """Remove the object and its naming registration. Fails closed: if
         the naming service is unavailable nothing is deleted."""
-        require_urn(name)
+        shape.check(shape.URN, name, BadArguments, "name")
         with self._lock_for(name):
             self._version(name)
             try:
@@ -250,8 +250,8 @@ class Repository:
         the error surfaces for the caller to retry the naming update; a
         registered-but-duplicated copy is harmless, a half-deposit is not.
         """
-        require_urn(name)
-        require_endpoint(target, "target")
+        shape.check(shape.URN, name, BadArguments, "name")
+        shape.check(shape.ENDPOINT, target, BadArguments, "target")
         if target == self.endpoint:
             raise AlreadyPresent(f"{name} is already at {target}")
         manifest = self._version(name).serialize()
@@ -266,8 +266,8 @@ class Repository:
         the name resolvable at one location or two, never at none. Writes of
         the object wait until the move ends, so none is answered and then
         left behind."""
-        require_urn(name)
-        require_endpoint(target, "target")
+        shape.check(shape.URN, name, BadArguments, "name")
+        shape.check(shape.ENDPOINT, target, BadArguments, "target")
         if target == self.endpoint:
             raise AlreadyPresent(f"{name} is already at {target}")
         with self._lock_for(name):

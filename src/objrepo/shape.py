@@ -15,8 +15,6 @@ import re
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .validate import is_endpoint, is_mime, is_urn
-
 Check = Callable[[object], object]
 
 
@@ -102,11 +100,22 @@ def _is_text(value) -> bool:
     return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
 
 
+URN_RE = re.compile(r"^urn:[a-z0-9.-]+:[A-Za-z0-9._-]+$")
+_TOKEN = r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+#: ``type/subtype``; parameters after ';' are kept verbatim
+MIME_RE = re.compile(rf"^({_TOKEN})/({_TOKEN})((;.+)?)$")
+
+
+def mime_base(value: str) -> str:
+    """``type/subtype`` lowercased, parameters stripped."""
+    return value.split(";", 1)[0].strip().lower()
+
+
 STRING = holds(_is_text, "must be UTF-8 text")
 NON_EMPTY = holds(lambda value: value != "" and _is_text(value), "must be non-empty UTF-8 text")
-URN = holds(is_urn, "must be a urn")
-MIME = holds(is_mime, "must be a MIME type")
-ENDPOINT = holds(is_endpoint, "must look like host:port")
+URN = matches(URN_RE, "must be a urn")
+MIME = matches(MIME_RE, "must be a MIME type")
+ENDPOINT = matches(re.compile(r"^[A-Za-z0-9.-]+:[0-9]+$"), "must look like host:port")
 
 
 def list_of(item: Check, non_empty: bool = False, unique: str | None = None) -> Check:

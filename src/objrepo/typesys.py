@@ -7,9 +7,9 @@ small declarative pipeline per method, plus an attachment specification
 describing the datastreams the program needs. Because both documents live
 in ordinary named objects, the type registry is just the repository
 federation itself; :class:`ContentTypeResolver` walks name resolution and
-the built-in document disseminations to fetch them. Both formats are
-:mod:`objrepo.shape` schemas, and a step's arguments are checked by the
-step table's own argument checks.
+the built-in document disseminations, which :data:`BUILTIN_TYPES` defines,
+to fetch them. Both formats are :mod:`objrepo.shape` schemas, and a step's
+arguments are checked by the step table's own argument checks.
 
 The pipeline step vocabulary is deliberately closed: new behavior comes
 from composing steps into new servlet programs deposited at runtime, never
@@ -37,17 +37,6 @@ from .errors import (
     UnknownStep,
     UnresolvableType,
 )
-from .validate import is_mime, is_urn, mime_base
-
-#: Reserved type URNs naming the built-in disseminator kinds. Objects whose
-#: disseminators carry these types answer getSignature/getServlet natively,
-#: which is what terminates the resolution recursion.
-SIGNATURE_TYPE_URN = "urn:fedora-builtin:signature"
-SERVLET_TYPE_URN = "urn:fedora-builtin:servlet"
-ACCESS_SERVLET_TYPE_URN = "urn:fedora-builtin:access-servlet"
-
-SIGNATURE_MIME = "application/x-fedora-signature+json"
-SERVLET_MIME = "application/x-fedora-servlet+json"
 
 ORD_ONE = "1:1"
 ORD_MANY = "1:N"
@@ -142,6 +131,42 @@ class ServletProgram:
     builtin: str | None = None
 
 
+class BuiltinType(NamedTuple):
+    """A disseminator kind the kernel serves itself, from one bound document."""
+
+    kind: str  # its DisseminatorKind value
+    structure: AttachmentStructure  # the document stream it binds
+    methods: tuple[str, ...]  # the first returns the document
+    parse: Callable[[bytes], object]  # the document's parser
+
+
+_SERVLET_DOC = AttachmentStructure("servlet", "application/x-fedora-servlet+json", ORD_ONE)
+
+#: Reserved type URN -> its built-in kind: the one place each is defined.
+#: Objects whose disseminators carry these types answer the kind's methods
+#: natively, which is what ends type resolution. The parsers are defined
+#: below and looked up when called.
+BUILTIN_TYPES = {
+    "urn:fedora-builtin:signature": BuiltinType(
+        "SIGNATURE",
+        AttachmentStructure("signature", "application/x-fedora-signature+json", ORD_ONE),
+        ("getSignature",),
+        lambda data: parse_signature(data),
+    ),
+    "urn:fedora-builtin:servlet": BuiltinType(
+        "SERVLET", _SERVLET_DOC, ("getServlet", "getAttachmentSpec"),
+        lambda data: parse_servlet_program(data),
+    ),
+    "urn:fedora-builtin:access-servlet": BuiltinType(
+        "ACCESS_MANAGER_SERVLET", _SERVLET_DOC, ("getServlet", "getAttachmentSpec"),
+        lambda data: parse_servlet_program(data),
+    ),
+}
+
+#: built-in kind -> its reserved type URN
+TYPE_URNS = {row.kind: urn for urn, row in BUILTIN_TYPES.items()}
+
+
 @dataclass(frozen=True)
 class Violation:
     structure_id: str
@@ -183,7 +208,7 @@ def validate_attachments(spec: AttachmentSpecification, bindings: dict, obj) -> 
             ds = obj.find_datastream(ds_id)
             if ds is None:
                 violations.append(Violation(s.id, "missing", f"no datastream {ds_id}"))
-            elif s.mime != "*" and mime_base(ds.mime) != mime_base(s.mime):
+            elif s.mime != "*" and shape.mime_base(ds.mime) != shape.mime_base(s.mime):
                 violations.append(Violation(s.id, "mime", f"{ds_id} is {ds.mime}, want {s.mime}"))
     return violations
 
@@ -549,7 +574,10 @@ def _program(implements, attachment_spec, methods=None, builtin=None) -> Servlet
 _STRUCTURE = shape.record(
     AttachmentStructure,
     id=shape.NON_EMPTY,
-    mime=shape.holds(lambda v: v == "*" or is_mime(v), "must be a MIME type or '*'"),
+    mime=shape.holds(
+        lambda v: v == "*" or isinstance(v, str) and bool(shape.MIME_RE.match(v)),
+        "must be a MIME type or '*'",
+    ),
     ordinality=shape.one_of(ORD_ONE, ORD_MANY),
 )
 _PIPELINE = shape.record(_pipeline, pipeline=shape.list_of(_step, non_empty=True))
@@ -644,15 +672,13 @@ class ContentTypeResolver:
         self.fetch_count = 0  # network attempts; exposed for tests
 
     def resolve_content_type(self, urn: str) -> ContentTypeSignature:
-        return self._resolve("signature", urn, SIGNATURE_TYPE_URN, "getSignature", parse_signature)
+        return self._resolve(TYPE_URNS["SIGNATURE"], urn)
 
     def resolve_servlet(self, urn: str) -> ServletProgram:
-        return self._resolve("servlet", urn, SERVLET_TYPE_URN, "getServlet", parse_servlet_program)
+        return self._resolve(TYPE_URNS["SERVLET"], urn)
 
     def resolve_access_scheme(self, urn: str) -> ServletProgram:
-        return self._resolve(
-            "access", urn, ACCESS_SERVLET_TYPE_URN, "getServlet", parse_servlet_program
-        )
+        return self._resolve(TYPE_URNS["ACCESS_MANAGER_SERVLET"], urn)
 
     def flush_cache(self) -> int:
         with self._lock:
@@ -660,21 +686,22 @@ class ContentTypeResolver:
             self._cache.clear()
             return n
 
-    def _resolve(self, role: str, urn: str, type_urn: str, method: str, parse):
-        key = (role, urn)
+    def _resolve(self, type_urn: str, urn: str):
+        """The document object ``urn`` serves as a ``type_urn`` built-in, parsed."""
+        key = (type_urn, urn)
         with self._lock:
             cached = self._cache.get(key)
         if cached is not None:
             return cached
-        data = self._fetch(urn, type_urn, method)
-        doc = parse(data)
+        row = BUILTIN_TYPES[type_urn]
+        data = self._fetch(urn, type_urn, row.methods[0])
+        doc = row.parse(data)
         with self._lock:
             self._cache[key] = doc
         return doc
 
     def _fetch(self, urn: str, type_urn: str, method: str) -> bytes:
-        if not is_urn(urn):
-            raise UnresolvableType(f"not a valid urn: {urn!r}")
+        shape.check(shape.URN, urn, UnresolvableType, repr(urn))
         try:
             locations = self._naming.resolve(urn)
         except (NotRegistered, NamingUnavailable) as exc:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import ACL_ALICE_ALL, EXPECTED_DC, EXPECTED_ELEMENTS, MARC_FIXTURE, make_wire_federation
 from objrepo import cli
+from objrepo.wire import NamingClient
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +184,29 @@ def test_missing_endpoint_configuration(fed, capsys, monkeypatch):
     monkeypatch.delenv("OBJREPO_REPO", raising=False)
     code, _, err = run(capsys, "obj", "create")
     assert code == 1 and err.startswith("BAD_ARGUMENTS:")
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_serve_stops_cleanly_on_sigterm_and_sigint(tmp_path, signum):
+    """`serve naming` drains and exits 0 on either signal, SIGINT included
+    when it starts ignored, as a non-interactive shell's `cmd &` leaves it."""
+    config = tmp_path / "naming.json"
+    journal = tmp_path / "journal.jsonl"
+    config.write_text(json.dumps({"listen_endpoint": "127.0.0.1:0", "journal_path": str(journal)}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        ["sh", "-c", 'trap "" INT; exec "$@"', "sh",
+         sys.executable, "-m", "objrepo.cli", "serve", "naming", "--config", str(config)],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        endpoint = proc.stderr.readline().decode().split()[-1]  # the banner ends with it
+        NamingClient(endpoint).register("urn:test:served", "127.0.0.1:1")
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert "urn:test:served" in journal.read_text()

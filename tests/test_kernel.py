@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import ACL_ALICE_ALL, MARC_FIXTURE, PAGES, STUB_URNS
+from conftest import ACL_ALICE_ALL, MARC_FIXTURE, PAGES, STUB_URNS, fixture_documents
 from objrepo.canonical import canonical_bytes, sha256_hex
 from objrepo.errors import (
     AccessDenied,
@@ -175,20 +175,53 @@ def test_unresolvable_servlet_and_type(stub_resolver):
         )
 
 
-def test_duplicate_builtin_rejected(stub_resolver):
+#: built-in kind -> (reserved type URN, structure id, document MIME, fixture document)
+BUILTINS = {
+    DisseminatorKind.SIGNATURE: (
+        "urn:fedora-builtin:signature", "signature", "application/x-fedora-signature+json",
+        "type-book",
+    ),
+    DisseminatorKind.SERVLET: (
+        "urn:fedora-builtin:servlet", "servlet", "application/x-fedora-servlet+json",
+        "mech-book-gif",
+    ),
+    DisseminatorKind.ACCESS_MANAGER_SERVLET: (
+        "urn:fedora-builtin:access-servlet", "servlet", "application/x-fedora-servlet+json",
+        "acl-v1",
+    ),
+}
+
+
+def builtin_document_stream(obj: DigitalObjectKernel, kind: DisseminatorKind) -> str:
+    _, _, mime, label = BUILTINS[kind]
+    return obj.create_datastream(mime, canonical_bytes(fixture_documents()[label]))
+
+
+@pytest.mark.parametrize("kind", list(BUILTINS), ids=lambda kind: kind.value)
+def test_duplicate_builtin_rejected(stub_resolver, kind):
+    urn, sid, _, _ = BUILTINS[kind]
     obj = DigitalObjectKernel()
-    doc = canonical_bytes({"type_name": "T", "methods": [
-        {"name": "m", "params": [], "returns_mime": "text/plain"}]})
-    ds = obj.create_datastream("application/x-fedora-signature+json", doc)
-    obj.create_disseminator(
-        DisseminatorKind.SIGNATURE, "urn:fedora-builtin:signature", "urn:fedora-builtin:signature",
-        {"signature": [ds]}, stub_resolver,
-    )
+    first = builtin_document_stream(obj, kind)
+    second = builtin_document_stream(obj, kind)
+    obj.create_disseminator(kind, urn, urn, {sid: [first]}, stub_resolver)
     with pytest.raises(DuplicateBuiltin):
-        obj.create_disseminator(
-            DisseminatorKind.SIGNATURE, "urn:fedora-builtin:signature",
-            "urn:fedora-builtin:signature", {"signature": [ds]}, stub_resolver,
-        )
+        obj.create_disseminator(kind, urn, urn, {sid: [second]}, stub_resolver)
+    assert [d.id for d in obj.disseminators] == ["DISS1"]
+
+
+@pytest.mark.parametrize("kind", list(BUILTINS), ids=lambda kind: kind.value)
+def test_builtin_binding_violations(stub_resolver, kind):
+    """A built-in kind binds exactly one stream of its document MIME under
+    its structure id; anything else adds no disseminator."""
+    urn, sid, _, _ = BUILTINS[kind]
+    obj = DigitalObjectKernel()
+    ds = builtin_document_stream(obj, kind)
+    other = builtin_document_stream(obj, kind)
+    text = obj.create_datastream("text/plain", b"not a type document")
+    for bindings in ({}, {"other": [ds]}, {sid: [ds, other]}, {sid: ["DS9"]}, {sid: [text]}):
+        with pytest.raises(AttachmentViolation):
+            obj.create_disseminator(kind, urn, urn, bindings, stub_resolver)
+    assert obj.disseminators == []
 
 
 def test_builtin_kind_requires_reserved_urn_and_document_mime(stub_resolver):

@@ -303,6 +303,27 @@ def test_protocol_doc_step_table_matches_steps():
     assert set(typesys.ARG_CHECKS) == {name for row in typesys.STEPS.values() for name in row.args}
 
 
+def test_protocol_doc_builtin_table_matches_builtin_types():
+    """The built-in kinds table in docs/protocol.md gives exactly each row of
+    BUILTIN_TYPES: kind, reserved URN, structure id, document MIME and
+    methods in order."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
+    rows = re.findall(
+        r"^\| `(\w+)` \| `(urn:[^`]+)` \| `(\w+)` \| `([^`]+)` \| (.*) \| at most one \|$",
+        doc, re.M,
+    )
+    documented = {
+        urn: (kind, sid, mime, tuple(re.findall(r"`(\w+)`", methods)))
+        for kind, urn, sid, mime, methods in rows
+    }
+    assert len(documented) == len(rows) == 3
+    assert documented == {
+        urn: (row.kind, row.structure.id, row.structure.mime, row.methods)
+        for urn, row in typesys.BUILTIN_TYPES.items()
+    }
+    assert {row.structure.ordinality for row in typesys.BUILTIN_TYPES.values()} == {typesys.ORD_ONE}
+
+
 def test_check_args():
     sig = parse_signature(canonical_bytes(fixture_documents()["type-book"]))
     spec = sig.find_method("getPage")
