@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import shape
-from .api import NAMING_OPS, REPOSITORY_OPS
+from .api import DEFAULT_PRINCIPAL, NAMING_OPS, REPOSITORY_OPS
 from .bootstrap import bootstrap_types
 from .errors import BadArguments, ObjectRepositoryError
 from .kernel import PRIMITIVE_TARGET
@@ -32,43 +32,46 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
                         help="repository endpoint host:port (env OBJREPO_REPO)")
     parser.add_argument("--naming", default=os.environ.get("OBJREPO_NAMING"),
                         help="naming endpoint host:port (env OBJREPO_NAMING)")
-    parser.add_argument("--principal", default=os.environ.get("OBJREPO_PRINCIPAL", "anonymous"),
+    parser.add_argument("--principal", default=os.environ.get("OBJREPO_PRINCIPAL", DEFAULT_PRINCIPAL),
                         help="principal sent with each request (env OBJREPO_PRINCIPAL)")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _repo_client(args) -> RepositoryClient:
-    if not args.repo:
-        raise BadArguments("no repository endpoint; pass --repo or set OBJREPO_REPO")
-    return RepositoryClient(
-        shape.check(shape.ENDPOINT, args.repo, BadArguments, "--repo"), principal=args.principal
-    )
+def _client(args, naming: bool = False) -> RepositoryClient | NamingClient:
+    option, what = ("naming", "naming") if naming else ("repo", "repository")
+    endpoint = getattr(args, option)
+    if not endpoint:
+        raise BadArguments(f"no {what} endpoint; pass --{option} or set OBJREPO_{option.upper()}")
+    endpoint = shape.check(shape.ENDPOINT, endpoint, BadArguments, f"--{option}")
+    return NamingClient(endpoint) if naming else RepositoryClient(endpoint, principal=args.principal)
 
 
-def _naming_client(args) -> NamingClient:
-    if not args.naming:
-        raise BadArguments("no naming endpoint; pass --naming or set OBJREPO_NAMING")
-    return NamingClient(shape.check(shape.ENDPOINT, args.naming, BadArguments, "--naming"))
-
-
-def _parse_bindings(pairs) -> dict[str, list[str]]:
-    bindings: dict[str, list[str]] = {}
-    for pair in pairs or []:
-        sid, eq, ids = pair.partition("=")
-        if not eq or not sid:
-            raise BadArguments(f"--bind expects sid=DS1,DS2,... got {pair!r}")
-        bindings[sid] = [d for d in ids.split(",") if d]
-    return bindings
-
-
-def _parse_args_option(pairs) -> dict[str, str]:
-    args: dict[str, str] = {}
+def _pairs(pairs, expects: str) -> dict[str, str]:
+    """Repeated ``key=value`` options as a dict; ``expects`` opens the error
+    for a malformed pair."""
+    result = {}
     for pair in pairs or []:
         key, eq, value = pair.partition("=")
         if not eq or not key:
-            raise BadArguments(f"--arg expects key=value, got {pair!r}")
-        args[key] = value
-    return args
+            raise BadArguments(f"{expects} got {pair!r}")
+        result[key] = value
+    return result
+
+
+def _bindings(pairs) -> dict[str, list[str]]:
+    ids = _pairs(pairs, "--bind expects sid=DS1,DS2,...")
+    return {sid: [d for d in text.split(",") if d] for sid, text in ids.items()}
+
+
+def _payload(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+#: the value a row argument takes, from the option text stored under its name
+_CONVERSIONS = {"content": _payload, "bindings": _bindings}
 
 
 def _emit(args, human: str | None, payload: dict) -> None:
@@ -81,51 +84,29 @@ def _emit(args, human: str | None, payload: dict) -> None:
 _OPERATIONS = {op.name: op for op in REPOSITORY_OPS + NAMING_OPS}
 
 
-def _run(args, client, name: str, *values, human=str) -> int:
-    """Run one operation; --json prints the reply document the wire carries
-    for it, otherwise ``human(result)`` is printed."""
-    op = _OPERATIONS[name]
-    result = getattr(client, name)(*values)
-    _emit(args, None if result is None else human(result), op.encode(op.bind(values, {}), result))
+def _run(args) -> int:
+    """Run the row named ``args.op`` on the arguments argparse stored under
+    the row's argument names; --json prints the reply document the wire
+    carries for it, otherwise ``args.human(result)`` is printed."""
+    op = _OPERATIONS[args.op]
+    values = {}
+    for a in op.args:
+        if a.where != "x-principal":  # the client sends --principal
+            # an optional argument no option sets (kind) is left to the service
+            value = getattr(args, a.name, None)
+            values[a.name] = _CONVERSIONS[a.name](value) if a.name in _CONVERSIONS else value
+    result = getattr(_client(args, op in NAMING_OPS), op.name)(**values)
+    _emit(args, None if result is None else args.human(result), op.encode(values, result))
     return 0
 
 
-# -- obj subcommands ---------------------------------------------------------
-
-
-def _cmd_obj_create(args) -> int:
-    return _run(args, _repo_client(args), "create_object")
-
-
-def _cmd_obj_add_stream(args) -> int:
-    if args.file == "-":
-        content = sys.stdin.buffer.read()
-    else:
-        with open(args.file, "rb") as fh:
-            content = fh.read()
-    return _run(args, _repo_client(args), "add_datastream", args.handle, args.mime, content)
-
-
-def _cmd_obj_add_disseminator(args) -> int:
-    bindings = _parse_bindings(args.bind)
-    return _run(
-        args, _repo_client(args), "add_disseminator", args.handle, args.type, args.servlet, bindings
-    )
-
-
-def _cmd_obj_set_access(args) -> int:
-    target = PRIMITIVE_TARGET if args.target.lower() == "primitive" else args.target
-    op = "set_access_manager" if args.object.startswith("urn:") else "set_access_manager_staged"
-    bindings = _parse_bindings(args.bind)
-    return _run(args, _repo_client(args), op, args.object, target, args.scheme, bindings)
-
-
-def _cmd_obj_deposit(args) -> int:
-    return _run(args, _repo_client(args), "deposit", args.handle)
-
-
-def _cmd_obj_types(args) -> int:
-    return _run(args, _repo_client(args), "list_types", args.urn, human="\n".join)
+def _set_access(args) -> int:
+    """A URN names a deposited object, anything else a staging handle."""
+    if args.target.lower() == "primitive":
+        args.target = PRIMITIVE_TARGET
+    args.name = args.handle
+    args.op = "set_access_manager" if args.handle.startswith("urn:") else "set_access_manager_staged"
+    return _run(args)
 
 
 def _methods_text(methods: list[dict]) -> str:
@@ -139,21 +120,13 @@ def _methods_text(methods: list[dict]) -> str:
     )
 
 
-def _cmd_obj_methods(args) -> int:
-    return _run(args, _repo_client(args), "list_methods", args.urn, args.type, human=_methods_text)
-
-
 def _streams_text(streams: list[dict]) -> str:
     return "\n".join("{id}\t{mime}\t{length}".format(**s) for s in streams)
 
 
-def _cmd_obj_streams(args) -> int:
-    return _run(args, _repo_client(args), "get_datastreams", args.urn, human=_streams_text)
-
-
-def _cmd_obj_get(args) -> int:
-    mime, data = _repo_client(args).get_dissemination(
-        args.urn, args.type, args.method, _parse_args_option(args.arg)
+def _get(args) -> int:
+    mime, data = _client(args).get_dissemination(
+        args.urn, args.type, args.method, _pairs(args.arg, "--arg expects key=value,")
     )
     if args.json:
         print(json.dumps({"mime": mime, "content_b64": base64.b64encode(data).decode("ascii")}))
@@ -168,24 +141,8 @@ def _cmd_obj_get(args) -> int:
     return 0
 
 
-def _cmd_obj_replicate(args) -> int:
-    return _run(args, _repo_client(args), "replicate", args.urn, args.to)
-
-
-def _cmd_obj_move(args) -> int:
-    return _run(args, _repo_client(args), "move", args.urn, args.to)
-
-
-def _cmd_obj_delete(args) -> int:
-    return _run(args, _repo_client(args), "delete", args.urn)
-
-
-def _cmd_name_resolve(args) -> int:
-    return _run(args, _naming_client(args), "resolve", args.urn, human="\n".join)
-
-
-def _cmd_bootstrap_types(args) -> int:
-    minted = bootstrap_types(_repo_client(args))
+def _bootstrap_types(args) -> int:
+    minted = bootstrap_types(_client(args))
     lines = [f"{label} {urn}" for label, urn in minted.items()]
     _emit(args, "\n".join(lines), {"types": minted})
     return 0
@@ -214,94 +171,94 @@ def _serve(what: str, start, config):
     return service
 
 
-def _cmd_serve_repo(args) -> int:
+def _serve_repo(args) -> int:
     config = load_repository_config(args.config)
     _serve(f"repository {config.repo_name}", serve_repository, config)
     return 0
 
 
-def _cmd_serve_naming(args) -> int:
+def _serve_naming(args) -> int:
     _serve("naming service", serve_naming, load_naming_config(args.config)).close()
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command that runs one operation row stores its positionals and
+    options under the row's argument names (``dest``, with ``metavar``
+    keeping the help text) and names the row for :func:`_run`."""
     parser = argparse.ArgumentParser(prog="objrepo", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
+
+    def command(sub, name, op=None, help=None, fn=_run, human=str):
+        p = sub.add_parser(name, help=help)
+        _common_options(p)
+        p.set_defaults(fn=fn, op=op, human=human)
+        return p
 
     obj = top.add_parser("obj", help="author and access digital objects")
     obj_sub = obj.add_subparsers(dest="subcommand", required=True)
 
-    def obj_cmd(name, fn, help=None):
-        p = obj_sub.add_parser(name, help=help)
-        _common_options(p)
-        p.set_defaults(fn=fn)
-        return p
+    command(obj_sub, "create", "create_object", "stage a new empty object")
 
-    obj_cmd("create", _cmd_obj_create, "stage a new empty object")
-
-    p = obj_cmd("add-stream", _cmd_obj_add_stream, "add a datastream to a staged object")
+    p = command(obj_sub, "add-stream", "add_datastream", "add a datastream to a staged object")
     p.add_argument("handle")
     p.add_argument("--mime", required=True)
-    p.add_argument("--file", required=True, help="payload path, or - for stdin")
+    p.add_argument("--file", dest="content", metavar="FILE", required=True,
+                   help="payload path, or - for stdin")
 
-    p = obj_cmd("add-disseminator", _cmd_obj_add_disseminator)
+    p = command(obj_sub, "add-disseminator", "add_disseminator")
     p.add_argument("handle")
-    p.add_argument("--type", required=True, help="content-type URN")
+    p.add_argument("--type", dest="content_type", metavar="TYPE", required=True,
+                   help="content-type URN")
     p.add_argument("--servlet", help="mechanism URN (omitted for built-in kinds)")
-    p.add_argument("--bind", action="append", metavar="SID=DS1,DS2")
+    p.add_argument("--bind", dest="bindings", action="append", metavar="SID=DS1,DS2")
 
-    p = obj_cmd("set-access", _cmd_obj_set_access)
-    p.add_argument("object", help="staging handle or deposited URN")
+    p = command(obj_sub, "set-access", fn=_set_access)
+    p.add_argument("handle", metavar="object", help="staging handle or deposited URN")
     p.add_argument("--target", required=True, help="primitive or DISSn")
     p.add_argument("--scheme", required=True, help="access scheme URN")
-    p.add_argument("--bind", action="append", metavar="SID=DS1")
+    p.add_argument("--bind", dest="bindings", action="append", metavar="SID=DS1")
 
-    p = obj_cmd("deposit", _cmd_obj_deposit)
-    p.add_argument("handle")
+    command(obj_sub, "deposit", "deposit").add_argument("handle")
 
-    for name, fn in (("types", _cmd_obj_types), ("streams", _cmd_obj_streams)):
-        p = obj_cmd(name, fn)
-        p.add_argument("urn")
+    for name, op, human in (("types", "list_types", "\n".join),
+                            ("streams", "get_datastreams", _streams_text)):
+        command(obj_sub, name, op, human=human).add_argument("name", metavar="urn")
 
-    p = obj_cmd("methods", _cmd_obj_methods)
-    p.add_argument("urn")
-    p.add_argument("--type", required=True)
+    p = command(obj_sub, "methods", "list_methods", human=_methods_text)
+    p.add_argument("name", metavar="urn")
+    p.add_argument("--type", dest="type_urn", metavar="TYPE", required=True)
 
-    p = obj_cmd("get", _cmd_obj_get, "run a dissemination and write its bytes")
+    p = command(obj_sub, "get", help="run a dissemination and write its bytes", fn=_get)
     p.add_argument("urn")
     p.add_argument("--type", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--arg", action="append", metavar="KEY=VALUE")
     p.add_argument("--out", help="write bytes to this file instead of stdout")
 
-    for name, fn in (("replicate", _cmd_obj_replicate), ("move", _cmd_obj_move)):
-        p = obj_cmd(name, fn)
-        p.add_argument("urn")
-        p.add_argument("--to", required=True, help="target repository endpoint")
+    for name in ("replicate", "move"):
+        p = command(obj_sub, name, name)
+        p.add_argument("name", metavar="urn")
+        p.add_argument("--to", dest="target", metavar="TO", required=True,
+                       help="target repository endpoint")
 
-    p = obj_cmd("delete", _cmd_obj_delete)
-    p.add_argument("urn")
+    command(obj_sub, "delete", "delete").add_argument("name", metavar="urn")
 
     name_parser = top.add_parser("name", help="naming service queries")
     name_sub = name_parser.add_subparsers(dest="subcommand", required=True)
-    p = name_sub.add_parser("resolve")
+    p = name_sub.add_parser("resolve")  # unlisted in `name --help`, unlike the obj commands
     _common_options(p)
-    p.add_argument("urn")
-    p.set_defaults(fn=_cmd_name_resolve)
+    p.add_argument("name", metavar="urn")
+    p.set_defaults(fn=_run, op="resolve", human="\n".join)
 
-    p = top.add_parser("bootstrap-types", help="deposit the shipped type objects")
-    _common_options(p)
-    p.set_defaults(fn=_cmd_bootstrap_types)
+    command(top, "bootstrap-types", help="deposit the shipped type objects", fn=_bootstrap_types)
 
     serve = top.add_parser("serve", help="run a service from a config file")
     serve_sub = serve.add_subparsers(dest="subcommand", required=True)
-    p = serve_sub.add_parser("repo")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=_cmd_serve_repo, json=False)
-    p = serve_sub.add_parser("naming")
-    p.add_argument("--config", required=True)
-    p.set_defaults(fn=_cmd_serve_naming, json=False)
+    for name, fn in (("repo", _serve_repo), ("naming", _serve_naming)):
+        p = serve_sub.add_parser(name)
+        p.add_argument("--config", required=True)
+        p.set_defaults(fn=fn, json=False)
 
     return parser
 

@@ -67,9 +67,6 @@ PRIMITIVES = (
     Primitive("GetAccessManager", "get_access_manager"),
 )
 
-#: Structural request names an ACL on the primitive target may reference.
-PRIMITIVE_METHODS = tuple(p.request for p in PRIMITIVES)
-
 
 class DisseminatorKind(str, Enum):
     CONTENT = "CONTENT"
@@ -112,6 +109,23 @@ DISS_ID_RE = re.compile(r"^DISS([1-9][0-9]*)$")
 _DS_ID = shape.matches(DS_ID_RE, "must be a datastream id")
 #: structure id -> datastream ids, as requests and manifests carry bindings
 BINDINGS = shape.map_of(shape.NON_EMPTY, shape.list_of(_DS_ID))
+
+
+def _builtin_servlet(kind: DisseminatorKind, content_type: str, others) -> str | None:
+    """The reserved URN a ``kind`` disseminator under ``content_type`` names
+    as its servlet, or None for CONTENT. A built-in kind takes only its own
+    reserved URN, at most once among ``others``; CONTENT never takes one.
+    Both the request path and the manifest loader hold records to this."""
+    if kind is DisseminatorKind.CONTENT:
+        if content_type in typesys.BUILTIN_TYPES:
+            raise BadArguments(f"{content_type} is reserved for built-in disseminators")
+        return None
+    servlet = typesys.TYPE_URNS[kind.value]
+    if content_type != servlet:
+        raise BadArguments(f"{kind.value} disseminators must use content_type {servlet}")
+    if any(d.kind is kind for d in others):
+        raise DuplicateBuiltin(f"object already has a {kind.value} disseminator")
+    return servlet
 
 
 def _request_bindings(bindings) -> dict[str, list[str]]:
@@ -202,8 +216,7 @@ class DigitalObjectKernel:
 
         if kind is DisseminatorKind.CONTENT:
             shape.check(shape.URN, servlet, BadArguments, "servlet")
-            if content_type in typesys.BUILTIN_TYPES:
-                raise BadArguments(f"{content_type} is reserved for built-in disseminators")
+            _builtin_servlet(kind, content_type, self.disseminators)
             program = resolver.resolve_servlet(servlet)
             signature = resolver.resolve_content_type(content_type)
             if program.implements != content_type:
@@ -213,11 +226,7 @@ class DigitalObjectKernel:
             typesys.check_program_against_signature(program, signature)
             spec = program.attachment_spec
         else:
-            servlet = typesys.TYPE_URNS[kind.value]
-            if content_type != servlet:
-                raise BadArguments(f"{kind.value} disseminators must use content_type {servlet}")
-            if any(d.kind is kind for d in self.disseminators):
-                raise DuplicateBuiltin(f"object already has a {kind.value} disseminator")
+            servlet = _builtin_servlet(kind, content_type, self.disseminators)
             spec = typesys.AttachmentSpecification([typesys.BUILTIN_TYPES[servlet].structure])
         self._check_bindings(spec, bindings)
 
@@ -494,6 +503,12 @@ def _manifest_object(name, seq, datastreams, disseminators, access_managers, **_
         name, datastreams, disseminators, next_ds_seq=seq["ds"], next_diss_seq=seq["diss"]
     )
     for i, diss in enumerate(disseminators):
+        try:
+            servlet = _builtin_servlet(diss.kind, diss.content_type, disseminators[:i])
+        except (BadArguments, DuplicateBuiltin) as exc:
+            raise shape.Invalid(str(exc), ["disseminators", i]) from None
+        if servlet not in (None, diss.servlet):
+            raise shape.Invalid(f"must be {servlet}", ["disseminators", i, "servlet"])
         _check_streams(obj, diss.bindings, ["disseminators", i, "bindings"])
     # each target takes one manager at most
     targets = {PRIMITIVE_TARGET: obj, **{diss.id: diss for diss in disseminators}}

@@ -369,7 +369,8 @@ class LocalRepositoryClient:
     the wire server would encode. Lets resolvers, transfers and bootstrap
     run without sockets."""
 
-    def __init__(self, registry: "LocalEndpointRegistry", endpoint: str, principal: str = "anonymous"):
+    def __init__(self, registry: "LocalEndpointRegistry", endpoint: str,
+                 principal: str = DEFAULT_PRINCIPAL):
         self._registry = registry
         self._endpoint = endpoint
         self.principal = principal

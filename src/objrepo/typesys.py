@@ -663,10 +663,9 @@ class ContentTypeResolver:
     is down.
     """
 
-    def __init__(self, naming, client_factory, max_doc_bytes: int = MAX_TYPE_DOC_BYTES):
+    def __init__(self, naming, client_factory):
         self._naming = naming
         self._client_factory = client_factory
-        self._max_doc_bytes = max_doc_bytes
         self._cache: dict[tuple[str, str], object] = {}
         self._lock = threading.Lock()
         self.fetch_count = 0  # network attempts; exposed for tests
@@ -716,7 +715,7 @@ class ContentTypeResolver:
             except ObjectRepositoryError as exc:
                 failures.append(f"{location}: {exc.code}")
                 continue
-            if len(data) > self._max_doc_bytes:
-                raise UnresolvableType(f"{urn}: document exceeds {self._max_doc_bytes} bytes")
+            if len(data) > MAX_TYPE_DOC_BYTES:
+                raise UnresolvableType(f"{urn}: document exceeds {MAX_TYPE_DOC_BYTES} bytes")
             return data
         raise UnresolvableType(f"{urn}: no location served the document ({'; '.join(failures)})")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import io
 import json
 import os
 import signal
@@ -13,7 +15,7 @@ import pytest
 
 from conftest import ACL_ALICE_ALL, EXPECTED_DC, EXPECTED_ELEMENTS, MARC_FIXTURE, make_wire_federation
 from objrepo import cli
-from objrepo.wire import NamingClient
+from objrepo.wire import NamingClient, RepositoryClient
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +113,15 @@ def test_get_writes_out_file(fed, capsys, tmp_path):
     assert out_path.read_bytes() == EXPECTED_DC
 
 
+def test_get_json_carries_mime_and_base64_bytes(fed, capsys):
+    doc = run_json(
+        capsys, "obj", "get", fed.walkthrough_name, "--type", fed.types["type-dc"],
+        "--method", "getDCRecord", "--principal", "alice", "--repo", fed.servers[0].endpoint,
+    )
+    assert doc == {"mime": "application/x-dc-lines",
+                   "content_b64": base64.b64encode(EXPECTED_DC).decode("ascii")}
+
+
 def test_streams_listing(fed, capsys):
     doc = run_json(capsys, "obj", "streams", fed.walkthrough_name,
                    "--repo", fed.servers[0].endpoint)
@@ -178,6 +189,55 @@ def test_error_reports_module_code_on_stderr(fed, capsys, tmp_path):
     code, _, err = run(capsys, "obj", "add-stream", "nohandle", "--mime", "text/plain",
                        "--file", str(payload), "--repo", "127.0.0.1:1")
     assert code == 1 and err.startswith("TARGET_UNREACHABLE:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["obj", "add-disseminator", "h", "--type", "urn:test:t", "--bind", "x"],
+    ["obj", "set-access", "h", "--target", "DISS1", "--scheme", "urn:test:s", "--bind", "x"],
+    ["obj", "get", "urn:test:x", "--type", "urn:test:t", "--method", "m", "--arg", "x"],
+], ids=["add-disseminator--bind", "set-access--bind", "get--arg"])
+def test_malformed_pair_option_is_bad_arguments(fed, capsys, argv):
+    code, out, err = run(capsys, *argv, "--repo", fed.servers[0].endpoint)
+    assert (code, out) == (1, "")
+    assert err.startswith("BAD_ARGUMENTS:") and "'x'" in err
+
+
+def test_add_stream_reads_stdin_for_dash(fed, capsys, monkeypatch):
+    repo = ["--repo", fed.servers[0].endpoint]
+    handle = run_json(capsys, "obj", "create", *repo)["handle"]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"from stdin")))
+    ds = run_json(capsys, "obj", "add-stream", handle, "--mime", "text/plain", "--file", "-",
+                  *repo)["id"]
+    name = run_json(capsys, "obj", "deposit", handle, *repo)["name"]
+    assert RepositoryClient(fed.servers[0].endpoint).get_datastream_content(name, ds) == (
+        "text/plain", b"from stdin"
+    )
+
+
+def test_add_stream_missing_file_is_io_error(fed, capsys, tmp_path):
+    code, out, err = run(capsys, "obj", "add-stream", "h", "--mime", "text/plain",
+                         "--file", str(tmp_path / "absent"), "--repo", fed.servers[0].endpoint)
+    assert (code, out) == (1, "")
+    assert err.startswith("IO_ERROR:") and "absent" in err
+
+
+def test_set_access_primitive_on_deposited_object(fed, capsys, tmp_path):
+    repo = ["--repo", fed.servers[0].endpoint]
+    handle = run_json(capsys, "obj", "create", *repo)["handle"]
+    acl_file = tmp_path / "policy.json"
+    acl_file.write_bytes(ACL_ALICE_ALL)
+    ds_acl = run_json(capsys, "obj", "add-stream", handle, "--mime",
+                      "application/x-fedora-acl+json", "--file", str(acl_file), *repo)["id"]
+    name = run_json(capsys, "obj", "deposit", handle, *repo)["name"]
+    code, out, err = run(capsys, "obj", "set-access", name, "--target", "primitive",
+                         "--scheme", fed.types["acl-v1"], "--bind", f"acl={ds_acl}", *repo)
+    assert code == 0 and out.strip().startswith("AM"), err
+    manager = RepositoryClient(fed.servers[0].endpoint, principal="alice").get_access_manager(
+        name, "PRIMITIVE"
+    )
+    assert manager["scheme"] == fed.types["acl-v1"] and manager["bindings"] == {"acl": [ds_acl]}
+    code, _, err = run(capsys, "obj", "streams", name, *repo, "--principal", "mallory")
+    assert code == 1 and err.startswith("ACCESS_DENIED")
 
 
 def test_missing_endpoint_configuration(fed, capsys, monkeypatch):

@@ -8,9 +8,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_wire_federation, probe
 from objrepo.canonical import canonical_bytes, sha256_hex
 from objrepo.errors import DigestMismatch, MalformedManifest
 from objrepo.kernel import (
@@ -21,6 +23,7 @@ from objrepo.kernel import (
     deserialize_object,
 )
 from objrepo.repository import Repository, RepositoryConfig
+from objrepo.typesys import BUILTIN_TYPES
 
 # An object spec is plain data: the name, the (mime, content) of each stream
 # (ids DS1, DS2, ... in order), the (kind, content type, servlet, bindings,
@@ -121,6 +124,11 @@ _SIDS = st.one_of(
 )
 
 
+def _builtin_kinds_once(disseminators) -> bool:
+    kinds = [d[0] for d in disseminators if d[0] != DisseminatorKind.CONTENT.value]
+    return len(kinds) == len(set(kinds))
+
+
 @st.composite
 def object_specs(draw) -> dict:
     streams = draw(st.lists(st.tuples(_MIMES, st.binary(max_size=48)), max_size=4))
@@ -129,11 +137,17 @@ def object_specs(draw) -> dict:
         _SIDS, st.lists(ds_ids, max_size=3) if streams else st.just([]), max_size=3
     )
     manager = st.none() | st.tuples(_URNS, bindings)
+    # records a request could create: CONTENT under a plain URN, or a built-in
+    # kind under its own reserved URN, each built-in kind at most once
+    builtin = st.sampled_from(sorted(BUILTIN_TYPES)).flatmap(
+        lambda urn: st.tuples(st.just(BUILTIN_TYPES[urn].kind), st.just(urn), st.just(urn),
+                              bindings, manager)
+    )
     disseminators = draw(st.lists(
-        st.tuples(st.sampled_from([k.value for k in DisseminatorKind]), _URNS, _URNS, bindings,
-                  manager),
+        st.tuples(st.just(DisseminatorKind.CONTENT.value), _URNS, _URNS, bindings, manager)
+        | builtin,
         max_size=3,
-    ))
+    ).filter(_builtin_kinds_once))
     return {
         "name": draw(_URNS),
         "streams": streams,
@@ -276,3 +290,84 @@ def test_hostile_manifest_verdicts(data):
             repo.receive_manifest(data)
         except (MalformedManifest, DigestMismatch):
             assert _tree(root) == before
+
+
+
+# -- built-in disseminator records ----------------------------------------------
+
+SIG, SERVLET, AM = (f"urn:fedora-builtin:{k}" for k in ("signature", "servlet", "access-servlet"))
+
+
+def _diss(kind, content_type, servlet) -> tuple:
+    return (kind, content_type, servlet, {"doc": ["DS1"]}, None)
+
+
+# Records create_disseminator refuses, and where the manifest check points.
+RULE_BREAKS = {
+    "second ACCESS_MANAGER_SERVLET": (
+        [_diss("ACCESS_MANAGER_SERVLET", AM, AM), _diss("ACCESS_MANAGER_SERVLET", AM, AM)],
+        "disseminators[1]: object already has a ACCESS_MANAGER_SERVLET disseminator",
+    ),
+    "SIGNATURE under the access-servlet URN": (
+        [_diss("SIGNATURE", AM, AM)],
+        f"disseminators[0]: SIGNATURE disseminators must use content_type {SIG}",
+    ),
+    "SERVLET under a plain URN": (
+        [_diss("SERVLET", "urn:test:type", "urn:test:type")],
+        f"disseminators[0]: SERVLET disseminators must use content_type {SERVLET}",
+    ),
+    "CONTENT under a reserved URN": (
+        [_diss("CONTENT", SIG, "urn:test:mech")],
+        f"disseminators[0]: {SIG} is reserved for built-in disseminators",
+    ),
+    "built-in servlet other than its URN": (
+        [_diss("SERVLET", SERVLET, "urn:test:mech")],
+        f"disseminators[0].servlet: must be {SERVLET}",
+    ),
+}
+
+
+def rule_break_manifest(case: str) -> bytes:
+    disseminators, _ = RULE_BREAKS[case]
+    return build(dict(FIXED_SPEC, name="urn:test:rule-break", streams=FIXED_SPEC["streams"][:1],
+                      disseminators=disseminators, primitive=None)).serialize()
+
+
+@pytest.mark.parametrize("case", RULE_BREAKS)
+def test_manifest_refuses_builtin_records_requests_cannot_create(case, tmp_path):
+    manifest = rule_break_manifest(case)
+    with pytest.raises(MalformedManifest) as err:
+        deserialize_object(manifest)
+    assert str(err.value) == f"manifest: {RULE_BREAKS[case][1]}"
+
+    repo = Repository(
+        RepositoryConfig("urn:test:repo-b", str(tmp_path), "b.local:80", "naming.local:80", "test"),
+        naming=None,
+        client_factory=None,
+    )
+    before = _tree(tmp_path)
+    with pytest.raises(MalformedManifest):
+        repo.receive_manifest(manifest)
+    assert _tree(tmp_path) == before
+
+    # a stored file holding such a record is quarantined at load
+    path = repo.store.path_for("urn:test:rule-break")
+    path.write_bytes(manifest)
+    reborn = Repository(repo.config, naming=None, client_factory=None)
+    assert not reborn.contains("urn:test:rule-break") and not path.exists()
+    assert [q.read_bytes() for q in reborn.store.quarantine_dir.iterdir()] == [manifest]
+
+
+def test_receive_manifest_route_refuses_builtin_rule_break(tmp_path):
+    fed = make_wire_federation(tmp_path, with_types=False)
+    try:
+        endpoint = fed.servers[0].endpoint
+        for case in RULE_BREAKS:
+            status, doc = probe(endpoint, "POST", "/internal/receive-manifest",
+                                rule_break_manifest(case))
+            assert (status, doc["error"]) == (400, "MALFORMED_MANIFEST"), case
+            assert RULE_BREAKS[case][1] in doc["detail"]
+        assert not fed.repos[0].contains("urn:test:rule-break")
+        assert list(fed.repos[0].store.objects_dir.iterdir()) == []
+    finally:
+        fed.stop()

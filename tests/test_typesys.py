@@ -631,9 +631,10 @@ def test_resolver_rejects_object_without_builtin(tmp_path):
         resolver.resolve_content_type(name)
 
 
-def test_resolver_size_cap(tmp_path):
+def test_resolver_size_cap(tmp_path, monkeypatch):
     fed = make_federation(tmp_path)
-    resolver = ContentTypeResolver(fed.naming, fed.registry.client, max_doc_bytes=32)
+    monkeypatch.setattr(typesys, "MAX_TYPE_DOC_BYTES", 32)
+    resolver = ContentTypeResolver(fed.naming, fed.registry.client)
     with pytest.raises(UnresolvableType) as err:
         resolver.resolve_content_type(fed.types["type-dc"])
     assert "exceeds" in str(err.value)
