@@ -20,9 +20,10 @@ differs from its name, and a trailing ``?`` when a caller may omit it:
   the client's own principal, and "anonymous" on the server).
 
 ``call`` names the service method that takes the arguments in row order;
-``"session.method"`` first opens the session (``Repository.access`` or
-``staged``) on the object the first argument names. A function is given
-where the arguments need shaping first.
+``"access.method"`` and ``"staged.method"`` name a kernel method that
+``Repository.run`` runs on the deposited object the first argument names,
+or on the staged object whose handle it is, for the principal the last
+argument gives. A function is given where the arguments need shaping first.
 
 ``reply`` names the JSON key that carries the result, which the service
 returns as plain JSON data; :data:`OK` replies ``{"ok": true}``, and
@@ -59,12 +60,13 @@ def _arg(token: str) -> Arg:
 
 
 def _method_call(spec: str) -> Callable:
-    session, _, method = spec.rpartition(".")
-    if not session:
+    on, _, method = spec.rpartition(".")
+    if not on:
         return lambda service, *values: getattr(service, method)(*values)
 
-    def call(service, first, *values):
-        return getattr(getattr(service, session)(first), method)(*values)
+    def call(service, key, *values):
+        *args, principal = values
+        return service.run(key, method, *args, principal=principal, staged=on == "staged")
 
     return call
 
@@ -147,7 +149,8 @@ def _add_disseminator(repo, handle, content_type, servlet, bindings, kind, princ
         row = BUILTIN_TYPES.get(content_type)
         kind = DisseminatorKind.CONTENT if row is None else row.kind
     kind = DisseminatorKind(shape.check(KINDS, kind, BadArguments, "kind"))
-    return repo.staged(handle).create_disseminator(kind, content_type, servlet, bindings, principal)
+    return repo.run(handle, "create_disseminator", kind, content_type, servlet, bindings,
+                    principal=principal, staged=True)
 
 
 REPOSITORY_OPS = (

@@ -52,6 +52,7 @@ class Primitive(NamedTuple):
     writes: bool = False
     transforms: bool = False  # output transforms apply to its (mime, bytes) result
     resolver: bool = False  # the method takes the content-type resolver
+    principal: bool = False  # the method takes the caller's principal
 
 
 PRIMITIVES = (
@@ -62,7 +63,8 @@ PRIMITIVES = (
     Primitive("GetDisseminators", "get_disseminators"),
     Primitive("ListDisseminatorTypes", "list_disseminator_types"),
     Primitive("ListDisseminatorMethods", "list_disseminator_methods", resolver=True),
-    Primitive("GetDissemination", "get_dissemination", transforms=True, resolver=True),
+    Primitive("GetDissemination", "get_dissemination", transforms=True, resolver=True,
+              principal=True),
     Primitive("SetAccessManager", "set_access_manager", writes=True, resolver=True),
     Primitive("GetAccessManager", "get_access_manager"),
 )
@@ -111,21 +113,24 @@ _DS_ID = shape.matches(DS_ID_RE, "must be a datastream id")
 BINDINGS = shape.map_of(shape.NON_EMPTY, shape.list_of(_DS_ID))
 
 
-def _builtin_servlet(kind: DisseminatorKind, content_type: str, others) -> str | None:
+def _builtin_servlet(kind: DisseminatorKind, content_type: str, servlet, others) -> str | None:
     """The reserved URN a ``kind`` disseminator under ``content_type`` names
     as its servlet, or None for CONTENT. A built-in kind takes only its own
-    reserved URN, at most once among ``others``; CONTENT never takes one.
-    Both the request path and the manifest loader hold records to this."""
+    reserved URN, as content type and as ``servlet`` if one is given, at
+    most once among ``others``; CONTENT never takes one. Both the request
+    path and the manifest loader hold records to this."""
     if kind is DisseminatorKind.CONTENT:
         if content_type in typesys.BUILTIN_TYPES:
             raise BadArguments(f"{content_type} is reserved for built-in disseminators")
         return None
-    servlet = typesys.TYPE_URNS[kind.value]
-    if content_type != servlet:
-        raise BadArguments(f"{kind.value} disseminators must use content_type {servlet}")
+    reserved = typesys.TYPE_URNS[kind.value]
+    if content_type != reserved:
+        raise BadArguments(f"{kind.value} disseminators must use content_type {reserved}")
+    if servlet not in (None, reserved):
+        raise BadArguments(f"{kind.value} disseminators must use servlet {reserved}")
     if any(d.kind is kind for d in others):
         raise DuplicateBuiltin(f"object already has a {kind.value} disseminator")
-    return servlet
+    return reserved
 
 
 def _request_bindings(bindings) -> dict[str, list[str]]:
@@ -216,7 +221,7 @@ class DigitalObjectKernel:
 
         if kind is DisseminatorKind.CONTENT:
             shape.check(shape.URN, servlet, BadArguments, "servlet")
-            _builtin_servlet(kind, content_type, self.disseminators)
+            _builtin_servlet(kind, content_type, servlet, self.disseminators)
             program = resolver.resolve_servlet(servlet)
             signature = resolver.resolve_content_type(content_type)
             if program.implements != content_type:
@@ -226,7 +231,7 @@ class DigitalObjectKernel:
             typesys.check_program_against_signature(program, signature)
             spec = program.attachment_spec
         else:
-            servlet = _builtin_servlet(kind, content_type, self.disseminators)
+            servlet = _builtin_servlet(kind, content_type, servlet, self.disseminators)
             spec = typesys.AttachmentSpecification([typesys.BUILTIN_TYPES[servlet].structure])
         self._check_bindings(spec, bindings)
 
@@ -297,9 +302,7 @@ class DigitalObjectKernel:
                 raise NoSuchMethod(f"{content_type} has no method {method!r}")
             typesys.check_args(spec, args)
             program = resolver.resolve_servlet(diss.servlet)
-            invoke = partial(
-                typesys.execute_servlet, program, signature, diss.bindings, self, method, args
-            )
+            invoke = partial(typesys.execute_servlet, program, spec, diss.bindings, self, args)
         else:
             diss = next((d for d in self.disseminators if d.kind == row.kind), None)
             if diss is None:
@@ -504,11 +507,9 @@ def _manifest_object(name, seq, datastreams, disseminators, access_managers, **_
     )
     for i, diss in enumerate(disseminators):
         try:
-            servlet = _builtin_servlet(diss.kind, diss.content_type, disseminators[:i])
+            _builtin_servlet(diss.kind, diss.content_type, diss.servlet, disseminators[:i])
         except (BadArguments, DuplicateBuiltin) as exc:
             raise shape.Invalid(str(exc), ["disseminators", i]) from None
-        if servlet not in (None, diss.servlet):
-            raise shape.Invalid(f"must be {servlet}", ["disseminators", i, "servlet"])
         _check_streams(obj, diss.bindings, ["disseminators", i, "bindings"])
     # each target takes one manager at most
     targets = {PRIMITIVE_TARGET: obj, **{diss.id: diss for diss in disseminators}}

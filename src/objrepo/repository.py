@@ -8,17 +8,18 @@ location set; migration is deliberately multi-phase and never leaves a name
 without at least one serving location, though a crash between phases can
 briefly leave it at two.
 
-Each object is served as a published version that nothing changes. A read
-runs on the version it finds, without a lock. The writes of one object run
-one at a time, each on a copy that is persisted, if the object is deposited,
-before one assignment publishes it. So a read that overlaps a write returns
-the version before it, a read issued after a write's reply sees that write,
-and a failed write changes nothing that is served or stored.
+Every structural and gateway request, one row of ``kernel.PRIMITIVES``,
+runs through :meth:`Repository.run`. Each object is served as a published
+version that nothing changes. A read runs on the version it finds, without
+a lock. The writes of one object run one at a time, each on a copy that is
+persisted, if the object is deposited, before one assignment publishes it.
+So a read that overlaps a write returns the version before it, a read
+issued after a write's reply sees that write, and a failed write changes
+nothing that is served or stored.
 """
 
 from __future__ import annotations
 
-import inspect
 import logging
 import threading
 import time
@@ -43,10 +44,12 @@ from .errors import (
     NotRegistered,
     TargetUnreachable,
 )
-from .kernel import PRIMITIVES, DigitalObjectKernel, Primitive, deserialize_object
+from .kernel import PRIMITIVES, DigitalObjectKernel, deserialize_object
 from .typesys import ContentTypeResolver
 
 log = logging.getLogger(__name__)
+
+_PRIMITIVES = {row.method: row for row in PRIMITIVES}
 
 
 @dataclass
@@ -192,9 +195,6 @@ class Repository:
             self._staged[handle] = DigitalObjectKernel()
         return handle
 
-    def staged(self, handle: str) -> "ObjectSession":
-        return ObjectSession(self, handle, staged=True)
-
     def deposit(self, handle: str) -> str:
         """Seal a staged object with a minted URN, persist it, and register
         the name. A naming failure aborts atomically: the object stays
@@ -217,9 +217,37 @@ class Repository:
                 del self._staged[handle]
             return name
 
-    def access(self, name: str) -> "ObjectSession":
-        shape.check(shape.URN, name, BadArguments, "name")
-        return ObjectSession(self, name)
+    def run(self, key: str, method: str, *args, principal: str = DEFAULT_PRINCIPAL,
+            staged: bool = False):
+        """Kernel ``method``, a :data:`~objrepo.kernel.PRIMITIVES` row, on the
+        published version of the object named ``key``, or of the staged one
+        whose handle ``key`` is, once the primitive access manager, if any,
+        allows ``principal``. A write runs on a copy, persisted if the object
+        is deposited, then published."""
+        if not staged:
+            shape.check(shape.URN, key, BadArguments, "name")
+        row = _PRIMITIVES[method]
+        given = {"principal": principal} if row.principal else {}
+        if row.resolver:
+            given["resolver"] = self.resolver
+
+        def serve(version: DigitalObjectKernel):
+            work = partial(getattr(version, method), *args, **given)
+            pam = version.primitive_access_manager
+            return access.enforce(
+                pam, self.resolver, version, row.request, principal, work, row.transforms
+            )
+
+        if not row.writes:
+            return serve(self._version(key, staged))
+        with self._lock_for(key):
+            version = self._version(key, staged).copy()
+            result = serve(version)
+            if not staged:
+                self.store.save(version)
+            with self._guard:
+                (self._staged if staged else self._objects)[key] = version
+        return result
 
     def contains(self, name: str) -> bool:
         with self._guard:
@@ -295,67 +323,6 @@ class Repository:
             with self._guard:
                 self._objects[name] = obj
         return name
-
-
-class ObjectSession:
-    """One method per :data:`~objrepo.kernel.PRIMITIVES` row on a staged or
-    deposited object. Opening it and each call look the object up, so once
-    it is deposited, moved or deleted the session fails as the lookup does."""
-
-    def __init__(self, repo: Repository, key: str, staged: bool = False):
-        repo._version(key, staged)
-        self._repo = repo
-        self._key = key
-        self._staged = staged
-        self.object_name = None if staged else key
-
-    def _run(self, row: Primitive, principal: str, args, kwargs: dict):
-        """``row``'s kernel method on the published version, once the
-        primitive access manager, if any, allows it; a write runs on a copy,
-        persisted if the object is deposited, then published."""
-        repo = self._repo
-
-        def serve(version: DigitalObjectKernel):
-            work = partial(getattr(version, row.method), *args, **kwargs)
-            pam = version.primitive_access_manager
-            return access.enforce(
-                pam, repo.resolver, version, row.request, principal, work, row.transforms
-            )
-
-        if not row.writes:
-            return serve(repo._version(self._key, self._staged))
-        with repo._lock_for(self._key):
-            version = repo._version(self._key, self._staged).copy()
-            result = serve(version)
-            if not self._staged:
-                repo.store.save(version)
-            with repo._guard:
-                (repo._staged if self._staged else repo._objects)[self._key] = version
-        return result
-
-
-def _session_method(row: Primitive):
-    """The session method for ``row``: the kernel method's arguments, then
-    the caller's ``principal``, which the kernel method also gets if it
-    takes one; the resolver is filled in."""
-    params = inspect.signature(getattr(DigitalObjectKernel, row.method)).parameters
-    arity = len([n for n in params if n not in ("self", "principal", "resolver")])
-
-    def method(self, *args, principal: str = DEFAULT_PRINCIPAL, **kwargs):
-        if len(args) == arity + 1:  # the principal given by position
-            *args, principal = args
-        if "principal" in params:
-            kwargs["principal"] = principal
-        if row.resolver:
-            kwargs["resolver"] = self._repo.resolver
-        return self._run(row, principal, args, kwargs)
-
-    method.__name__ = method.__qualname__ = row.method
-    return method
-
-
-for _row in PRIMITIVES:
-    setattr(ObjectSession, _row.method, _session_method(_row))
 
 
 # ---------------------------------------------------------------------------

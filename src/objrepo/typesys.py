@@ -29,7 +29,6 @@ from .errors import (
     MalformedServlet,
     MalformedSignature,
     NamingUnavailable,
-    NoSuchMethod,
     NotRegistered,
     ObjectRepositoryError,
     ServletError,
@@ -617,28 +616,20 @@ def _note_execution() -> None:
 
 
 def execute_servlet(
-    program: ServletProgram,
-    signature: ContentTypeSignature,
-    bindings: dict,
-    obj,
-    method: str,
-    args: dict,
+    program: ServletProgram, spec: MethodSpec, bindings: dict, obj, args: dict
 ) -> tuple[str, bytes]:
-    """Evaluate one method pipeline over a value stack seeded empty.
+    """Evaluate the pipeline of method ``spec`` over a value stack seeded
+    empty, on ``args`` that :func:`check_args` has passed for ``spec``.
 
     Referentially transparent: the result depends only on the program, the
     bound stream contents, the method and its arguments. Failures carry the
     1-based index of the offending step.
     """
-    spec = signature.find_method(method)
-    if spec is None:
-        raise NoSuchMethod(f"signature has no method {method!r}")
-    check_args(spec, args)
     if program.builtin is not None:
         raise ServletError(f"builtin mechanism {program.builtin!r} has no pipelines")
-    pipeline = program.methods.get(method)
+    pipeline = program.methods.get(spec.name)
     if pipeline is None:
-        raise ServletError(f"mechanism has no pipeline for {method!r}")
+        raise ServletError(f"mechanism has no pipeline for {spec.name!r}")
 
     _note_execution()
     frame = _Frame(bindings, obj, args)

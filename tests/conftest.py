@@ -244,42 +244,42 @@ def build_marc_object(fed: Federation, repo_index: int = 0, acl: bytes | None = 
                       marc: bytes = MARC_FIXTURE) -> str:
     """The walkthrough object: MARC stream, DC disseminator via the
     crosswalk mechanism, optionally ACL-guarded."""
-    repo = fed.repos[repo_index]
-    handle = repo.create_object()
-    session = repo.staged(handle)
-    ds_marc = session.create_datastream("application/x-marc-lines", marc)
-    diss = session.create_disseminator(
-        "CONTENT", fed.types["type-dc"], fed.types["mech-marc2dc"], {"marc": [ds_marc]}
+    return author_marc_object(fed.client(repo_index), fed.types, acl, marc)
+
+
+def author_marc_object(client, types: dict[str, str], acl: bytes | None = ACL_ALICE_ALL,
+                       marc: bytes = MARC_FIXTURE) -> str:
+    """:func:`build_marc_object` through any repository client."""
+    handle = client.create_object()
+    ds_marc = client.add_datastream(handle, "application/x-marc-lines", marc)
+    diss = client.add_disseminator(
+        handle, types["type-dc"], types["mech-marc2dc"], {"marc": [ds_marc]}
     )
     if acl is not None:
-        ds_acl = session.create_datastream("application/x-fedora-acl+json", acl)
-        session.set_access_manager(diss, fed.types["acl-v1"], {"acl": [ds_acl]})
-    return repo.deposit(handle)
+        ds_acl = client.add_datastream(handle, "application/x-fedora-acl+json", acl)
+        client.set_access_manager_staged(handle, diss, types["acl-v1"], {"acl": [ds_acl]})
+    return client.deposit(handle)
 
 
 def build_dc_object(fed: Federation, repo_index: int = 0, dc: bytes = EXPECTED_DC) -> str:
     """Structural twin of the MARC object: stored element lines plus the
     passthrough mechanism, same content type."""
-    repo = fed.repos[repo_index]
-    handle = repo.create_object()
-    session = repo.staged(handle)
-    ds = session.create_datastream("application/x-dc-lines", dc)
-    session.create_disseminator(
-        "CONTENT", fed.types["type-dc"], fed.types["mech-dc-pass"], {"dc": [ds]}
-    )
-    return repo.deposit(handle)
+    client = fed.client(repo_index)
+    handle = client.create_object()
+    ds = client.add_datastream(handle, "application/x-dc-lines", dc)
+    client.add_disseminator(handle, fed.types["type-dc"], fed.types["mech-dc-pass"], {"dc": [ds]})
+    return client.deposit(handle)
 
 
 def build_book_object(fed: Federation, servlet_label: str = "mech-book-gif",
                       structure_id: str = "pages", pages=None, repo_index: int = 0) -> str:
-    repo = fed.repos[repo_index]
-    handle = repo.create_object()
-    session = repo.staged(handle)
-    ds_ids = [session.create_datastream("image/gif", p) for p in (pages or PAGES)]
-    session.create_disseminator(
-        "CONTENT", fed.types["type-book"], fed.types[servlet_label], {structure_id: ds_ids}
+    client = fed.client(repo_index)
+    handle = client.create_object()
+    ds_ids = [client.add_datastream(handle, "image/gif", p) for p in (pages or PAGES)]
+    client.add_disseminator(
+        handle, fed.types["type-book"], fed.types[servlet_label], {structure_id: ds_ids}
     )
-    return repo.deposit(handle)
+    return client.deposit(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +359,4 @@ def probe(endpoint: str, method: str, path: str, body: bytes | None = None,
 
 def wire_marc_object(fed: WireFederation, client_index: int = 0,
                      acl: bytes | None = ACL_ALICE_ALL, marc: bytes = MARC_FIXTURE) -> str:
-    client = fed.clients[client_index]
-    handle = client.create_object()
-    ds_marc = client.add_datastream(handle, "application/x-marc-lines", marc)
-    diss = client.add_disseminator(
-        handle, fed.types["type-dc"], fed.types["mech-marc2dc"], {"marc": [ds_marc]}
-    )
-    if acl is not None:
-        ds_acl = client.add_datastream(handle, "application/x-fedora-acl+json", acl)
-        client.set_access_manager_staged(handle, diss, fed.types["acl-v1"], {"acl": [ds_acl]})
-    return client.deposit(handle)
+    return author_marc_object(fed.clients[client_index], fed.types, acl, marc)

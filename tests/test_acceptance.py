@@ -87,15 +87,15 @@ def test_c2_content_type_equivalence(tmp_path):
     stored = build_dc_object(fed, dc=EXPECTED_DC)
     derived = build_marc_object(fed, acl=None, marc=MARC_FIXTURE)
     dc_type = fed.types["type-dc"]
-    repo = fed.repos[0]
+    client = fed.client()
 
-    record_a = repo.access(stored).get_dissemination(dc_type, "getDCRecord", {})
-    record_b = repo.access(derived).get_dissemination(dc_type, "getDCRecord", {})
+    record_a = client.get_dissemination(stored, dc_type, "getDCRecord", {})
+    record_b = client.get_dissemination(derived, dc_type, "getDCRecord", {})
     assert record_a == record_b == ("application/x-dc-lines", EXPECTED_DC)
 
     for element, value in EXPECTED_ELEMENTS.items():
-        out_a = repo.access(stored).get_dissemination(dc_type, "getDCField", {"field": element})
-        out_b = repo.access(derived).get_dissemination(dc_type, "getDCField", {"field": element})
+        out_a = client.get_dissemination(stored, dc_type, "getDCField", {"field": element})
+        out_b = client.get_dissemination(derived, dc_type, "getDCField", {"field": element})
         assert out_a == out_b == ("text/plain", value), element
     passed(2, "stored element lines and crosswalked MARC are byte-identical for all methods")
 
@@ -108,15 +108,15 @@ def test_c3_one_to_many_mechanisms(tmp_path):
     pages = [b"GIF89a leaf-A", b"GIF89a leaf-B", b"GIF89a leaf-C", b"GIF89a leaf-D"]
     first = build_book_object(fed, "mech-book-gif", "pages", pages)
     second = build_book_object(fed, "mech-book-gif2", "leaves", pages)
-    repo = fed.repos[0]
+    client = fed.client()
     book = fed.types["type-book"]
     for n in range(1, len(pages) + 1):
-        out_a = repo.access(first).get_dissemination(book, "getPage", {"n": str(n)})
-        out_b = repo.access(second).get_dissemination(book, "getPage", {"n": str(n)})
+        out_a = client.get_dissemination(first, book, "getPage", {"n": str(n)})
+        out_b = client.get_dissemination(second, book, "getPage", {"n": str(n)})
         assert out_a == out_b == ("image/gif", pages[n - 1])
     assert (
-        repo.access(first).get_dissemination(book, "getPageCount", {})
-        == repo.access(second).get_dissemination(book, "getPageCount", {})
+        client.get_dissemination(first, book, "getPageCount", {})
+        == client.get_dissemination(second, book, "getPageCount", {})
         == ("text/plain", b"4")
     )
     passed(3, "two mechanisms behind one signature disseminate identical page bytes")
@@ -217,8 +217,9 @@ def quiescent_checks(fed) -> None:
             repo = repo_by_endpoint[location]
             assert repo.contains(name), f"{location} listed but does not serve {name}"
             digests.add(json.loads(repo.store.read_bytes(name))["digest"])
-            if dc in repo.access(name).list_disseminator_types():
-                outputs.add(repo.access(name).get_dissemination(dc, "getDCRecord", {}))
+            client = fed.registry.client(location)
+            if dc in client.list_types(name):
+                outputs.add(client.get_dissemination(name, dc, "getDCRecord", {}))
         assert len(digests) == 1, f"replica digests diverge for {name}"
         assert len(outputs) <= 1, f"location-dependent dissemination for {name}"
     for repo in fed.repos:
@@ -293,8 +294,8 @@ def test_c5_federation_invariants(tmp_path):
         assert locations, f"{name} unresolvable after fault at {point}"
         servers = [repo_by_endpoint[e] for e in locations if repo_by_endpoint[e].contains(name)]
         assert servers, f"no listed location serves {name} after fault at {point}"
-        mime, data = servers[0].access(name).get_dissemination(
-            fed.types["type-dc"], "getDCRecord", {}
+        mime, data = fed.registry.client(servers[0].endpoint).get_dissemination(
+            name, fed.types["type-dc"], "getDCRecord", {}
         )
         assert data.endswith(f"Subject: Catalog entry {1000 + i}\n".encode())
 
@@ -379,9 +380,7 @@ def test_c7_acl_model_agreement(tmp_path):
     before = typesys.execution_count()
     for _ in range(5):
         with pytest.raises(AccessDenied):
-            fed.repos[0].access(name).get_dissemination(
-                fed.types["type-dc"], "getDCRecord", {}, "mallory"
-            )
+            fed.client().get_dissemination(name, fed.types["type-dc"], "getDCRecord", {}, "mallory")
     assert typesys.execution_count() == before
     passed(7, f"{trials} generated decisions match the sequential-scan oracle; denials "
               "executed zero pipeline steps")

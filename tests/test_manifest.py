@@ -322,7 +322,7 @@ RULE_BREAKS = {
     ),
     "built-in servlet other than its URN": (
         [_diss("SERVLET", SERVLET, "urn:test:mech")],
-        f"disseminators[0].servlet: must be {SERVLET}",
+        f"disseminators[0]: SERVLET disseminators must use servlet {SERVLET}",
     ),
 }
 

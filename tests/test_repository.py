@@ -49,7 +49,7 @@ def manifest_digest(repo: Repository, name: str) -> str:
 def test_create_yields_empty_wrapper(federation):
     repo = federation.repos[0]
     handle = repo.create_object()
-    assert repo.staged(handle).get_datastreams() == []
+    assert repo.run(handle, "get_datastreams", staged=True) == []
     other = repo.create_object()
     assert handle != other
 
@@ -64,18 +64,21 @@ def test_content_disseminator_without_servlet_is_bad_arguments(federation):
 
 def test_staged_objects_are_not_accessible_by_name(federation):
     repo = federation.repos[0]
-    repo.create_object()
+    names = repo.names()
+    handle = repo.create_object()
+    assert repo.names() == names
+    with pytest.raises(BadArguments):
+        federation.client().get_datastreams(handle)  # a handle is no name
     for name in federation.naming.names():
-        session = repo.access(name) if repo.contains(name) else None
-        if session is not None:
-            assert session.object_name == name  # only deposited objects resolve
+        if repo.contains(name):
+            assert federation.client().get_datastreams(name)  # only deposited objects resolve
 
 
 def test_deposit_registers_sole_location(federation):
     name = build_marc_object(federation)
     assert name.startswith("urn:test:")
     assert federation.naming.resolve(name) == [federation.repos[0].endpoint]
-    assert federation.repos[0].access(name).object_name == name
+    assert federation.client().get_datastreams(name)
 
 
 def test_deposit_consumes_handle(federation):
@@ -85,18 +88,19 @@ def test_deposit_consumes_handle(federation):
     with pytest.raises(NoSuchHandle):
         repo.deposit(handle)
     with pytest.raises(NoSuchHandle):
-        repo.staged(handle)
+        repo.run(handle, "get_datastreams", staged=True)
 
 
 def test_deposit_aborts_atomically_when_naming_down(federation):
     repo = federation.repos[0]
     handle = repo.create_object()
-    repo.staged(handle).create_datastream("text/plain", b"payload")
+    federation.client().add_datastream(handle, "text/plain", b"payload")
+    names = repo.names()
     federation.naming.down = True
     with pytest.raises(NamingUnavailable):
         repo.deposit(handle)
-    session = repo.staged(handle)  # still staged, still unnamed
-    assert session.object_name is None
+    assert repo.run(handle, "get_datastreams", staged=True)  # still staged ...
+    assert repo.names() == names  # ... and unnamed
     federation.naming.down = False
     name = repo.deposit(handle)
     assert federation.naming.resolve(name) == [repo.endpoint]
@@ -124,10 +128,10 @@ def test_access_errors(tmp_path):
     fed = make_federation(tmp_path, n_repos=2)
     name = build_marc_object(fed, repo_index=0)
     with pytest.raises(NoSuchObject):
-        fed.repos[1].access(name)  # wrong repository
+        fed.client(1).get_datastreams(name)  # wrong repository
     fed.repos[0].delete(name)
     with pytest.raises(NoSuchObject):
-        fed.repos[0].access(name)
+        fed.client(0).get_datastreams(name)
 
 
 # -- delete -----------------------------------------------------------------------
@@ -146,7 +150,7 @@ def test_delete_one_replica_keeps_survivor(tmp_path):
     fed.repos[0].replicate(name, fed.repos[1].endpoint)
     fed.repos[0].delete(name)
     assert fed.naming.resolve(name) == [fed.repos[1].endpoint]
-    assert fed.repos[1].access(name).object_name == name
+    assert fed.client(1).get_datastreams(name)
 
 
 def test_delete_unknown_and_naming_down(federation):
@@ -158,7 +162,7 @@ def test_delete_unknown_and_naming_down(federation):
     with pytest.raises(NamingUnavailable):
         repo.delete(name)
     federation.naming.down = False
-    assert repo.access(name).object_name == name  # intact
+    assert federation.client().get_datastreams(name)  # intact
 
 
 # -- replicate ----------------------------------------------------------------------
@@ -215,8 +219,8 @@ def test_replicated_dissemination_is_byte_identical(tmp_path):
     name = build_marc_object(fed)
     fed.repos[0].replicate(name, fed.repos[1].endpoint)
     args = {"field": "Creator"}
-    got0 = fed.repos[0].access(name).get_dissemination(fed.types["type-dc"], "getDCField", args, "alice")
-    got1 = fed.repos[1].access(name).get_dissemination(fed.types["type-dc"], "getDCField", args, "alice")
+    got0 = fed.client(0).get_dissemination(name, fed.types["type-dc"], "getDCField", args, "alice")
+    got1 = fed.client(1).get_dissemination(name, fed.types["type-dc"], "getDCField", args, "alice")
     assert got0 == got1
 
 
@@ -229,8 +233,8 @@ def test_move_happy_path(tmp_path):
     fed.repos[0].move(name, fed.repos[1].endpoint)
     assert fed.naming.resolve(name) == [fed.repos[1].endpoint]
     with pytest.raises(NoSuchObject):
-        fed.repos[0].access(name)
-    assert fed.repos[1].access(name).object_name == name
+        fed.client(0).get_datastreams(name)
+    assert fed.client(1).get_datastreams(name)
 
 
 def test_move_unknown_name(federation):
@@ -258,11 +262,11 @@ def test_move_fault_injection_never_loses_the_object(tmp_path, point):
 
     locations = fed.naming.resolve(name)  # still resolvable ...
     assert locations
-    serving = [r for r in fed.repos if r.endpoint in locations and r.contains(name)]
+    serving = [i for i, r in enumerate(fed.repos) if r.endpoint in locations and r.contains(name)]
     assert serving, f"no listed location serves {name} after fault at {point}"
     # ... and a listed copy still disseminates.
-    mime, data = serving[0].access(name).get_dissemination(
-        fed.types["type-dc"], "getDCField", {"field": "Creator"}, "alice"
+    mime, data = fed.client(serving[0]).get_dissemination(
+        name, fed.types["type-dc"], "getDCField", {"field": "Creator"}, "alice"
     )
     assert data == b"Melville, Herman"
 
@@ -281,9 +285,9 @@ def restart_repo(fed, index: int) -> Repository:
 def test_restart_preserves_objects(tmp_path):
     fed = make_federation(tmp_path)
     name = build_marc_object(fed)
-    reborn = restart_repo(fed, 0)
-    mime, data = reborn.access(name).get_dissemination(
-        fed.types["type-dc"], "getDCField", {"field": "Title"}, "alice"
+    restart_repo(fed, 0)
+    mime, data = fed.client(0).get_dissemination(
+        name, fed.types["type-dc"], "getDCField", {"field": "Title"}, "alice"
     )
     assert data == b"Moby-Dick; or, The Whale"
 
@@ -342,7 +346,7 @@ def test_boolean_seq_counters_are_refused_and_nothing_is_stored(federation):
 def test_mutations_on_deposited_objects_persist(federation):
     name = build_marc_object(federation)
     repo = federation.repos[0]
-    repo.access(name).create_datastream("text/plain", b"appended later")
+    repo.run(name, "create_datastream", "text/plain", b"appended later")
     manifest = deserialize_object(repo.store.read_bytes(name))
     assert manifest.get_datastreams()[-1]["mime"] == "text/plain"
 
@@ -367,39 +371,39 @@ def author_acl() -> bytes:
 
 
 def test_primitive_manager_reserves_composition_requests(federation):
-    repo = federation.repos[0]
-    handle = repo.create_object()
-    session = repo.staged(handle)
-    session.create_datastream("application/x-marc-lines", MARC_FIXTURE)
-    ds_acl = session.create_datastream("application/x-fedora-acl+json", author_acl())
-    session.set_access_manager(PRIMITIVE_TARGET, federation.types["acl-v1"], {"acl": [ds_acl]})
-    name = repo.deposit(handle)
+    repo, client = federation.repos[0], federation.client()
+    handle = client.create_object()
+    client.add_datastream(handle, "application/x-marc-lines", MARC_FIXTURE)
+    ds_acl = client.add_datastream(handle, "application/x-fedora-acl+json", author_acl())
+    client.set_access_manager_staged(
+        handle, PRIMITIVE_TARGET, federation.types["acl-v1"], {"acl": [ds_acl]}
+    )
+    name = client.deposit(handle)
 
-    session = repo.access(name)
-    assert session.get_datastreams(principal="reader")  # gateway requests stay open
+    assert client.get_datastreams(name, principal="reader")  # gateway requests stay open
     with pytest.raises(AccessDenied) as err:
-        session.create_datastream("text/plain", b"sneaky", principal="reader")
+        repo.run(name, "create_datastream", "text/plain", b"sneaky", principal="reader")
     assert str(err.value) == "authors-only"
-    assert session.create_datastream("text/plain", b"legit", principal="author") == "DS3"
+    assert repo.run(name, "create_datastream", "text/plain", b"legit", principal="author") == "DS3"
 
 
 def test_primitive_manager_denies_structural_reads_when_closed(federation):
-    repo = federation.repos[0]
-    handle = repo.create_object()
-    session = repo.staged(handle)
-    ds_acl = session.create_datastream("application/x-fedora-acl+json", ACL_ALICE_ALL)
-    session.set_access_manager(PRIMITIVE_TARGET, federation.types["acl-v1"], {"acl": [ds_acl]})
-    name = repo.deposit(handle)
+    client = federation.client()
+    handle = client.create_object()
+    ds_acl = client.add_datastream(handle, "application/x-fedora-acl+json", ACL_ALICE_ALL)
+    client.set_access_manager_staged(
+        handle, PRIMITIVE_TARGET, federation.types["acl-v1"], {"acl": [ds_acl]}
+    )
+    name = client.deposit(handle)
     with pytest.raises(AccessDenied):
-        repo.access(name).get_datastreams(principal="mallory")
-    assert repo.access(name).get_datastreams(principal="alice")
+        client.get_datastreams(name, principal="mallory")
+    assert client.get_datastreams(name, principal="alice")
 
 
 def test_primitive_manager_stamps_byte_results(federation):
-    repo = federation.repos[0]
-    handle = repo.create_object()
-    session = repo.staged(handle)
-    ds = session.create_datastream("text/plain", b"the bytes")
+    client = federation.client()
+    handle = client.create_object()
+    ds = client.add_datastream(handle, "text/plain", b"the bytes")
     stamped = acl_bytes(
         entries=[
             {
@@ -410,10 +414,12 @@ def test_primitive_manager_stamps_byte_results(federation):
             }
         ]
     )
-    ds_acl = session.create_datastream("application/x-fedora-acl+json", stamped)
-    session.set_access_manager(PRIMITIVE_TARGET, federation.types["acl-v1"], {"acl": [ds_acl]})
-    name = repo.deposit(handle)
-    mime, data = repo.access(name).get_datastream_content(ds, principal="anyone")
+    ds_acl = client.add_datastream(handle, "application/x-fedora-acl+json", stamped)
+    client.set_access_manager_staged(
+        handle, PRIMITIVE_TARGET, federation.types["acl-v1"], {"acl": [ds_acl]}
+    )
+    name = client.deposit(handle)
+    mime, data = client.get_datastream_content(name, ds, principal="anyone")
     assert data == b"the bytes\n--stamp:via-primitive"
 
 
@@ -425,15 +431,14 @@ def test_repository_serves_opaque_random_bytes(tmp_path):
 
     fed = make_federation(tmp_path, n_repos=2, with_types=False)
     rng = random.Random(11)
-    repo = fed.repos[0]
-    handle = repo.create_object()
-    session = repo.staged(handle)
+    client = fed.client(0)
+    handle = client.create_object()
     payloads = [rng.randbytes(rng.randint(1, 4096)) for _ in range(3)]
-    ids = [session.create_datastream("application/octet-stream", p) for p in payloads]
-    name = repo.deposit(handle)
-    repo.replicate(name, fed.repos[1].endpoint)
+    ids = [client.add_datastream(handle, "application/octet-stream", p) for p in payloads]
+    name = client.deposit(handle)
+    client.replicate(name, fed.repos[1].endpoint)
     for ds, payload in zip(ids, payloads):
-        assert fed.repos[1].access(name).get_datastream_content(ds) == (
+        assert fed.client(1).get_datastream_content(name, ds) == (
             "application/octet-stream", payload,
         )
     assert manifest_digest(fed.repos[0], name) == manifest_digest(fed.repos[1], name)
@@ -447,16 +452,16 @@ def test_method_listing_unresolvable_after_type_object_vanishes(tmp_path):
     fed.repos[0].delete(fed.types["type-dc"])  # the signature object goes away
     fed.repos[1].resolver.flush_cache()
     with pytest.raises(UnresolvableType):
-        fed.repos[1].access(name).list_disseminator_methods(fed.types["type-dc"])
+        fed.client(1).list_methods(name, fed.types["type-dc"])
 
 
 def test_dissemination_survives_type_home_outage_post_warmup(tmp_path):
     fed = make_federation(tmp_path, n_repos=2)  # type objects live on repo 0
     name = build_marc_object(fed, repo_index=1, acl=None)
-    session = fed.repos[1].access(name)
-    warm = session.get_dissemination(fed.types["type-dc"], "getDCRecord", {})
+    client = fed.client(1)
+    warm = client.get_dissemination(name, fed.types["type-dc"], "getDCRecord", {})
     fed.registry.kill(fed.repos[0].endpoint)
-    assert fed.repos[1].access(name).get_dissemination(fed.types["type-dc"], "getDCRecord", {}) == warm
+    assert client.get_dissemination(name, fed.types["type-dc"], "getDCRecord", {}) == warm
     fed.registry.revive(fed.repos[0].endpoint)
 
 
@@ -527,7 +532,8 @@ def test_failed_registration_leaves_the_object_unnamed(tmp_path):
     handle = repo.create_object()
     with pytest.raises(BadArguments):
         repo.deposit(handle)
-    assert repo.staged(handle).object_name is None
+    assert repo.run(handle, "get_datastreams", staged=True) == []  # still staged ...
+    assert repo.names() == []  # ... and unnamed
 
 
 def test_shipped_configs_load():
@@ -545,8 +551,8 @@ def test_concurrent_writers_on_distinct_objects(federation):
     def hammer(name):
         try:
             for i in range(20):
-                repo.access(name).create_datastream("text/plain", f"blob-{i}".encode())
-                repo.access(name).get_datastreams()
+                repo.run(name, "create_datastream", "text/plain", f"blob-{i}".encode())
+                repo.run(name, "get_datastreams")
         except Exception as exc:  # pragma: no cover - fails the test below
             errors.append(exc)
 
@@ -557,7 +563,7 @@ def test_concurrent_writers_on_distinct_objects(federation):
         t.join()
     assert errors == []
     for name in names:
-        infos = repo.access(name).get_datastreams()
+        infos = repo.run(name, "get_datastreams")
         assert len(infos) == 2 + 20  # marc + acl + twenty appends
         assert [i["id"] for i in infos] == [f"DS{k}" for k in range(1, 23)]
 
@@ -569,15 +575,15 @@ def disk_full(obj):
 def test_failed_persist_leaves_the_old_version_served_and_stored(federation, monkeypatch):
     repo = federation.repos[0]
     name = build_marc_object(federation)
-    before = repo.access(name).get_datastreams()
+    before = repo.run(name, "get_datastreams")
     stored = repo.store.read_bytes(name)
     monkeypatch.setattr(repo.store, "save", disk_full)
     with pytest.raises(OSError):
-        repo.access(name).create_datastream("text/plain", b"never stored")
-    assert repo.access(name).get_datastreams() == before
+        repo.run(name, "create_datastream", "text/plain", b"never stored")
+    assert repo.run(name, "get_datastreams") == before
     monkeypatch.undo()
     assert repo.store.read_bytes(name) == stored
-    assert restart_repo(federation, 0).access(name).get_datastreams() == before
+    assert restart_repo(federation, 0).run(name, "get_datastreams") == before
 
 
 def test_a_read_does_not_wait_for_a_write_of_its_object(federation, monkeypatch):
@@ -593,13 +599,13 @@ def test_a_read_does_not_wait_for_a_write_of_its_object(federation, monkeypatch)
 
     monkeypatch.setattr(repo.store, "save", slow_save)
     writer = threading.Thread(
-        target=repo.access(name).create_datastream, args=("text/plain", b"slow")
+        target=repo.run, args=(name, "create_datastream", "text/plain", b"slow")
     )
     writer.start()
     try:
         assert saving.wait(5)
         started = time.monotonic()
-        overlapping = repo.access(name).get_datastreams()
+        overlapping = repo.run(name, "get_datastreams")
         elapsed = time.monotonic() - started
     finally:
         release.set()
@@ -607,7 +613,7 @@ def test_a_read_does_not_wait_for_a_write_of_its_object(federation, monkeypatch)
     assert not writer.is_alive()
     assert elapsed < 1.0
     assert [i["id"] for i in overlapping] == ["DS1", "DS2"]  # the version before the write
-    assert [i["id"] for i in repo.access(name).get_datastreams()] == ["DS1", "DS2", "DS3"]
+    assert [i["id"] for i in repo.run(name, "get_datastreams")] == ["DS1", "DS2", "DS3"]
 
 
 def test_readers_see_only_whole_persisted_versions(federation, monkeypatch):
@@ -634,7 +640,7 @@ def test_readers_see_only_whole_persisted_versions(federation, monkeypatch):
             for i in range(21):
                 payload = b"fails" if i % 3 == 2 else f"blob-{i}".encode()
                 try:
-                    repo.access(name).create_datastream("text/plain", payload)
+                    repo.run(name, "create_datastream", "text/plain", payload)
                 except OSError:
                     assert payload == b"fails"
         except Exception as exc:  # pragma: no cover - fails the test below
@@ -642,7 +648,7 @@ def test_readers_see_only_whole_persisted_versions(federation, monkeypatch):
 
     def read():
         while writing.is_set():
-            listings.append([i["id"] for i in repo.access(names[0]).get_datastreams()])
+            listings.append([i["id"] for i in repo.run(names[0], "get_datastreams")])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -666,7 +672,7 @@ def test_readers_see_only_whole_persisted_versions(federation, monkeypatch):
     for ids in listings:
         assert ids == [f"DS{k}" for k in range(1, len(ids) + 1)]
     for name in names:
-        infos = repo.access(name).get_datastreams()
+        infos = repo.run(name, "get_datastreams")
         assert [i["id"] for i in infos] == [f"DS{k}" for k in range(1, 17)]  # 2 + 14 appends
 
 
@@ -678,7 +684,7 @@ def test_a_write_during_a_move_is_not_answered_and_then_lost(federation3):
 
     def write():
         try:
-            outcome.append(source.access(name).create_datastream("text/plain", b"mid-move"))
+            outcome.append(source.run(name, "create_datastream", "text/plain", b"mid-move"))
         except NoSuchObject as exc:
             outcome.append(exc)
 
@@ -693,7 +699,7 @@ def test_a_write_during_a_move_is_not_answered_and_then_lost(federation3):
     source.move(name, target.endpoint)
     writer.join(5)
     assert not writer.is_alive()
-    served = [i["id"] for i in target.access(name).get_datastreams()]
+    served = [i["id"] for i in target.run(name, "get_datastreams")]
     assert isinstance(outcome[0], NoSuchObject) or outcome[0] in served
 
 
@@ -704,7 +710,7 @@ def test_object_locks_live_only_while_held(federation):
 
     def cycle():
         handle = repo.create_object()
-        repo.staged(handle).create_datastream("text/plain", b"x")
+        federation.client().add_datastream(handle, "text/plain", b"x")
         repo.delete(repo.deposit(handle))
 
     cycle()

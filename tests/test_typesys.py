@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     MARC_FIXTURE,
+    STUB_URNS,
     fixture_documents,
     make_federation,
 )
@@ -279,7 +280,8 @@ def test_dollar_is_literal_outside_substitutable_arguments(steps, expected):
     check_program_against_signature(program, signature)
     obj = DigitalObjectKernel()
     bindings = {"src": [obj.create_datastream("text/plain", part) for part in (b"a", b"b")]}
-    assert execute_servlet(program, signature, bindings, obj, "get", {}) == ("text/plain", expected)
+    get = signature.find_method("get")
+    assert execute_servlet(program, get, bindings, obj, {}) == ("text/plain", expected)
 
 
 def test_protocol_doc_step_table_matches_steps():
@@ -344,7 +346,18 @@ def run_fixture(label, method, args, obj, bindings):
                  "mech-book-gif": "type-book", "mech-book-gif2": "type-book",
                  "mech-photoalbum": "type-photoalbum"}[label]
     signature = parse_signature(canonical_bytes(docs[sig_label]))
-    return execute_servlet(program, signature, bindings, obj, method, args)
+    return execute_servlet(program, signature.find_method(method), bindings, obj, args)
+
+
+def album_dissemination(resolver, method: str, args: dict):
+    """``method`` of the photo album type on :func:`album_object`, through
+    the kernel, which finds the method and checks its arguments."""
+    obj = album_object()
+    album = STUB_URNS["type-photoalbum"]
+    obj.create_disseminator(
+        DisseminatorKind.CONTENT, album, STUB_URNS["mech-photoalbum"], ALBUM_BINDINGS, resolver
+    )
+    return obj.get_dissemination(album, method, args, "anonymous", resolver)
 
 
 def test_execute_marc2dc_field():
@@ -436,12 +449,25 @@ def test_execute_missing_element_is_servlet_error():
         run_fixture("mech-marc2dc", "getDCField", {"field": "Creator"}, obj, {"marc": [ds]})
 
 
-def test_execute_rejects_unknown_method_and_args():
-    obj = album_object()
+def test_execute_rejects_unknown_method_and_args(stub_resolver):
     with pytest.raises(NoSuchMethod):
-        run_fixture("mech-photoalbum", "nextImage", {}, obj, ALBUM_BINDINGS)
+        album_dissemination(stub_resolver, "nextImage", {})
     with pytest.raises(BadArguments):
-        run_fixture("mech-photoalbum", "getThumbnail", {"n": "one"}, obj, ALBUM_BINDINGS)
+        album_dissemination(stub_resolver, "getThumbnail", {"n": "one"})
+
+
+def test_a_dissemination_checks_its_arguments_once(stub_resolver, monkeypatch):
+    checked = []
+    check_args = typesys.check_args
+
+    def counted(spec, args):
+        checked.append(spec.name)
+        check_args(spec, args)
+
+    monkeypatch.setattr(typesys, "check_args", counted)
+    thumb = album_dissemination(stub_resolver, "getThumbnail", {"n": "2"})
+    assert thumb == ("image/gif", b"thumb-two")
+    assert checked == ["getThumbnail"]
 
 
 def index_program():
@@ -477,10 +503,11 @@ def index_program():
 @pytest.mark.parametrize("method", ["pick", "row"])
 def test_substituted_index_must_be_an_ascii_decimal(method):
     program, sig, bindings, obj = index_program()
-    assert execute_servlet(program, sig, bindings, obj, method, {"n": "3"}) == ("text/plain", b"s3")
+    spec = sig.find_method(method)
+    assert execute_servlet(program, spec, bindings, obj, {"n": "3"}) == ("text/plain", b"s3")
     for bad in (" 3", "+3", "\uff13", "2_0", "3\n", "3" * 5000):
         with pytest.raises(ServletError) as err:
-            execute_servlet(program, sig, bindings, obj, method, {"n": bad})
+            execute_servlet(program, spec, bindings, obj, {"n": bad})
         assert err.value.code == "SERVLET_ERROR" and "not an integer" in str(err.value)
 
 
@@ -506,10 +533,10 @@ def test_join_concatenates_and_emit_requires_bytes():
     }))
     obj = DigitalObjectKernel()
     ids = [obj.create_datastream("text/plain", t) for t in (b"alpha", b"beta", b"gamma")]
-    result = execute_servlet(program, sig, {"parts": ids}, obj, "joined", {})
+    result = execute_servlet(program, sig.find_method("joined"), {"parts": ids}, obj, {})
     assert result == ("text/plain", b"alpha, beta, gamma")
     with pytest.raises(ServletError) as err:  # a stream list is not emittable
-        execute_servlet(program, sig, {"parts": ids}, obj, "unjoined", {})
+        execute_servlet(program, sig.find_method("unjoined"), {"parts": ids}, obj, {})
     assert "byte value" in str(err.value)
 
 
@@ -605,16 +632,15 @@ def test_resolver_unregistered_urn(tmp_path):
 
 def test_resolver_propagates_parse_errors(tmp_path):
     fed = make_federation(tmp_path, with_types=False)
-    repo = fed.repos[0]
-    handle = repo.create_object()
-    session = repo.staged(handle)
+    client = fed.client()
+    handle = client.create_object()
     bad = canonical_bytes({"type_name": "X", "methods": []})
-    ds = session.create_datastream("application/x-fedora-signature+json", bad)
-    session.create_disseminator(
-        DisseminatorKind.SIGNATURE, "urn:fedora-builtin:signature",
-        "urn:fedora-builtin:signature", {"signature": [ds]},
+    ds = client.add_datastream(handle, "application/x-fedora-signature+json", bad)
+    client.add_disseminator(
+        handle, "urn:fedora-builtin:signature", "urn:fedora-builtin:signature",
+        {"signature": [ds]}, DisseminatorKind.SIGNATURE.value,
     )
-    name = repo.deposit(handle)
+    name = client.deposit(handle)
     resolver = ContentTypeResolver(fed.naming, fed.registry.client)
     with pytest.raises(MalformedSignature):
         resolver.resolve_content_type(name)
@@ -622,10 +648,10 @@ def test_resolver_propagates_parse_errors(tmp_path):
 
 def test_resolver_rejects_object_without_builtin(tmp_path):
     fed = make_federation(tmp_path, with_types=False)
-    repo = fed.repos[0]
-    handle = repo.create_object()
-    repo.staged(handle).create_datastream("text/plain", b"no disseminators here")
-    name = repo.deposit(handle)
+    client = fed.client()
+    handle = client.create_object()
+    client.add_datastream(handle, "text/plain", b"no disseminators here")
+    name = client.deposit(handle)
     resolver = ContentTypeResolver(fed.naming, fed.registry.client)
     with pytest.raises(UnresolvableType):
         resolver.resolve_content_type(name)
@@ -649,11 +675,8 @@ def test_one_to_many_mechanisms_agree_on_pages(tmp_path):
     fed = make_federation(tmp_path)
     a = build_book_object(fed, "mech-book-gif", "pages")
     b = build_book_object(fed, "mech-book-gif2", "leaves")
+    client = fed.client()
     for n in range(1, len(PAGES) + 1):
-        out_a = fed.repos[0].access(a).get_dissemination(
-            fed.types["type-book"], "getPage", {"n": str(n)}
-        )
-        out_b = fed.repos[0].access(b).get_dissemination(
-            fed.types["type-book"], "getPage", {"n": str(n)}
-        )
+        out_a = client.get_dissemination(a, fed.types["type-book"], "getPage", {"n": str(n)})
+        out_b = client.get_dissemination(b, fed.types["type-book"], "getPage", {"n": str(n)})
         assert out_a == out_b == ("image/gif", PAGES[n - 1])

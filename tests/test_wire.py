@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import importlib
 import json
 import re
 import socket
@@ -19,20 +20,24 @@ from conftest import (
     EXPECTED_ELEMENTS,
     MARC_FIXTURE,
     acl_bytes,
+    make_federation,
     make_wire_federation,
     probe,
     quote,
     wire_marc_object,
 )
 from objrepo.api import NAMING_OPS, REPOSITORY_OPS
+from objrepo.canonical import canonical_bytes
 from objrepo.errors import (
     BY_CODE,
     AccessDenied,
     AlreadyRegistered,
+    BadArguments,
     DigestMismatch,
     NamingUnavailable,
     NoSuchObject,
     NotRegistered,
+    ObjectRepositoryError,
     TargetUnreachable,
     UnresolvableType,
     http_status,
@@ -110,8 +115,8 @@ def test_dissemination_bytes_match_in_process(wire_federation):
     wire_out = fed.clients[0].get_dissemination(
         name, fed.types["type-dc"], "getDCRecord", {}, principal="alice"
     )
-    local_out = fed.repos[0].access(name).get_dissemination(
-        fed.types["type-dc"], "getDCRecord", {}, "alice"
+    local_out = fed.repos[0].run(
+        name, "get_dissemination", fed.types["type-dc"], "getDCRecord", {}, principal="alice"
     )
     assert wire_out == local_out
 
@@ -379,6 +384,90 @@ def test_content_disseminator_without_servlet_gets_400(wire_federation):
         {"Content-Type": "application/json"},
     )
     assert (status, reply["error"]) == (400, "BAD_ARGUMENTS")
+
+
+def test_builtin_disseminator_naming_another_servlet_gets_400(wire_federation, tmp_path):
+    """A built-in kind's servlet is its reserved URN: naming another one is
+    refused in process and over the wire, and nothing is created."""
+    signature = "urn:fedora-builtin:signature"
+    doc = canonical_bytes({"type_name": "T", "methods": []})
+    local = make_federation(tmp_path / "local", with_types=False)
+    for client, over_wire in ((local.client(), False), (wire_federation.clients[0], True)):
+        handle = client.create_object()
+        ds = client.add_datastream(handle, "application/x-fedora-signature+json", doc)
+        body = {"content_type": signature, "servlet": "urn:x:other",
+                "bindings": {"signature": [ds]}}
+        if over_wire:
+            status, reply = probe(
+                wire_federation.servers[0].endpoint, "POST", f"/staging/{handle}/disseminators",
+                json.dumps(body).encode(), {"Content-Type": "application/json"},
+            )
+            assert (status, reply["error"]) == (400, "BAD_ARGUMENTS")
+        else:
+            with pytest.raises(BadArguments):
+                client.add_disseminator(handle, **body)
+        assert client.get_disseminators(client.deposit(handle)) == []
+
+
+#: the first argument's value and the code it gets, for each row whose first
+#: argument is a handle or a name in the path
+LOOKUPS = {
+    "handle": {"unknown handle": ("0" * 32, "NO_SUCH_HANDLE")},
+    "name": {"malformed name": ("not a urn", "BAD_ARGUMENTS"),
+             "unknown name": ("urn:test:nope", "NO_SUCH_OBJECT")},
+}
+
+
+def lookup_codes(client, other_endpoint: str) -> dict:
+    """The code each :data:`LOOKUPS` case gets from each row, or "ok"; the
+    other arguments are well formed."""
+    values = {"mime": "text/plain", "content": b"x", "content_type": "urn:test:type",
+              "servlet": "urn:test:mech", "scheme": "urn:test:scheme", "ds_id": "DS1",
+              "type_urn": "urn:test:type", "method": "m", "args": {}}
+    codes = {}
+    for op in REPOSITORY_OPS:
+        first = op.args[0] if op.args else None
+        if first is None or first.where != "path" or first.name not in LOOKUPS:
+            continue
+        given = {a.name: values.get(a.name) for a in op.args[1:] if a.where != "x-principal"}
+        if "target" in given:
+            given["target"] = other_endpoint if op.name in ("replicate", "move") else "PRIMITIVE"
+        for case, (key, _) in LOOKUPS[first.name].items():
+            try:
+                getattr(client, op.name)(key, **given)
+                codes[op.name, case] = "ok"
+            except ObjectRepositoryError as exc:
+                codes[op.name, case] = exc.code
+    return codes
+
+
+def test_lookup_errors_agree_in_process_and_over_the_wire(wire_federation, tmp_path):
+    local = make_federation(tmp_path / "local", n_repos=2, with_types=False)
+    in_process = lookup_codes(local.client(0), local.repos[1].endpoint)
+    over_wire = lookup_codes(wire_federation.clients[0], wire_federation.servers[1].endpoint)
+    assert in_process == over_wire
+    expected = {case: code for cases in LOOKUPS.values() for case, (_, code) in cases.items()}
+    assert {key: expected[key[1]] for key in in_process} == in_process
+    assert len(in_process) == 4 + 11 * 2  # four handle rows, eleven name rows
+
+
+def test_benchmark_trace_boundaries_resolve():
+    """Every function the benchmark's tracer wraps (``perfbench/spans.py``)
+    exists, so renaming one fails here instead of being traced as absent."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spans = {"__name__": "perfbench_spans"}
+    exec(compile(path.read_text(), str(path), "exec"), spans)  # read-only: no bytecode cache
+    boundaries = [*(b for layer in spans["BOUNDARIES"].values() for b in layer),
+                  spans["CLIENT_INGEST"]]
+    missing = []
+    for module, owner, attr, *_ in boundaries:
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner, None)
+        if not callable(getattr(target, attr, None)):
+            missing.append(f"{module}:{owner or ''}.{attr}")
+    assert len(boundaries) > 20
+    assert missing == []
 
 
 def test_concurrent_wire_reads(wire_federation):
