@@ -29,14 +29,12 @@ _COMPACT_DEAD_RATIO = 4
 class NamingConfig:
     listen_endpoint: str
     journal_path: str | None = None
-    worker_limit: int = 8
 
 
 _NAMING_CONFIG = shape.record(
     NamingConfig,
     listen_endpoint=shape.ENDPOINT,
     journal_path=shape.optional(shape.NON_EMPTY),
-    worker_limit=shape.optional(shape.integer(1)),
 )
 
 

@@ -13,9 +13,8 @@ runs through :meth:`Repository.run`. Each object is served as a published
 version that nothing changes. A read runs on the version it finds, without
 a lock. The writes of one object run one at a time, each on a copy that is
 persisted, if the object is deposited, before one assignment publishes it.
-So a read that overlaps a write returns the version before it, a read
-issued after a write's reply sees that write, and a failed write changes
-nothing that is served or stored.
+So each request takes effect at one instant between its arrival and its
+reply (it is linearizable), and a failed write changes nothing served or stored.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class RepositoryConfig:
     listen_endpoint: str
     naming_endpoint: str
     urn_namespace: str
-    worker_limit: int = 8
 
 
 _REPOSITORY_CONFIG = shape.record(
@@ -73,7 +71,6 @@ _REPOSITORY_CONFIG = shape.record(
         lambda v: isinstance(v, str) and shape.URN_RE.match(f"urn:{v}:0") is not None,
         "must be a urn namespace",
     ),
-    worker_limit=shape.optional(shape.integer(1)),
 )
 
 

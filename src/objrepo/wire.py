@@ -17,6 +17,7 @@ import logging
 import re
 import select
 import socket
+import sys
 import threading
 import time
 import urllib.parse
@@ -159,8 +160,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)
-        try:
+        try:  # a ConnectionError here is a client gone: handle_error drops it
             body = self._read_body()
+        except BadArguments as exc:
+            return self._send(*_envelope(exc))
+        try:
             for pattern, op in self.server.routes.get(method, ()):
                 match = pattern.match(parsed.path)
                 if match is not None:
@@ -169,8 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise NotFound(f"no route {method} {parsed.path}")
             query = urllib.parse.parse_qs(parsed.query, keep_blank_values=True)
             values = _decode(op, match, body, self.headers, query)
-            with self.server.worker_slots:
-                encoded = op.invoke(self.server.context, values)
+            encoded = op.invoke(self.server.context, values)
             resp = (200, *encoded) if op.reply == RAW else _json(encoded)
         except ObjectRepositoryError as exc:
             resp = _envelope(exc)
@@ -186,20 +189,18 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class WireServer(ThreadingHTTPServer):
-    """An embeddable HTTP server; handlers run concurrently, bounded by the
-    configured worker limit. Each connection has a thread of its own for as
-    long as the client keeps it open; :meth:`stop` closes them all and waits
-    for their threads."""
+    """An embeddable HTTP server. Each connection has a thread of its own for
+    as long as the client keeps it open, so no request waits for another;
+    :meth:`stop` closes them all and waits for their threads."""
 
     # the listen backlog; at the stdlib's 5, a burst of connects overflows it
     # and each connect past it waits about a second for the SYN to be resent
     request_queue_size = 128
 
-    def __init__(self, host: str, port: int, routes, context, worker_limit: int = 8):
+    def __init__(self, host: str, port: int, routes, context):
         super().__init__((host, port), _Handler)
         self.routes = routes
         self.context = context
-        self.worker_slots = threading.BoundedSemaphore(max(1, worker_limit))
         self._thread: threading.Thread | None = None
         self._open: dict[socket.socket, threading.Thread] = {}  # connection -> its handler
         self._open_lock = threading.Lock()
@@ -212,6 +213,10 @@ class WireServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open[request] = thread
         thread.start()
+
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], ConnectionError):  # a reset is a close
+            log.exception("unhandled error on the connection from %s", client_address)
 
     def shutdown_request(self, request):
         with self._open_lock:
@@ -262,7 +267,7 @@ def serve_repository(
     endpoint as its identity for naming registrations.
     """
     host, port = _split_endpoint(config.listen_endpoint)
-    server = WireServer(host, port, REPOSITORY_ROUTES, None, config.worker_limit)
+    server = WireServer(host, port, REPOSITORY_ROUTES, None)
     config = replace(config, listen_endpoint=server.endpoint)
     if naming is None:
         naming = NamingClient(config.naming_endpoint)
@@ -276,7 +281,7 @@ def serve_repository(
 
 def serve_naming(config: NamingConfig) -> tuple[WireServer, NamingService]:
     host, port = _split_endpoint(config.listen_endpoint)
-    server = WireServer(host, port, NAMING_ROUTES, None, config.worker_limit)
+    server = WireServer(host, port, NAMING_ROUTES, None)
     service = NamingService(config.journal_path)
     server.context = service
     server.start()

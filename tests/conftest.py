@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import urllib.parse
 from dataclasses import dataclass, field
 
@@ -151,6 +152,21 @@ def close_naming_journals(monkeypatch):
     yield
     for service in opened:
         service.close()
+
+
+@pytest.fixture(autouse=True)
+def nothing_logged_as_unhandled():
+    """Fail a test during which a server logged an error: an exception a
+    handler did not map to an error code, or one that reached
+    ``WireServer.handle_error``, which logs all but a client's reset."""
+    logged = []
+    catcher = logging.Handler(logging.ERROR)
+    catcher.emit = logged.append
+    logger = logging.getLogger("objrepo.wire")
+    logger.addHandler(catcher)
+    yield
+    logger.removeHandler(catcher)
+    assert [record.getMessage() for record in logged] == []
 
 
 # ---------------------------------------------------------------------------

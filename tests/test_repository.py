@@ -481,9 +481,9 @@ def test_load_repository_config(tmp_path):
             }
         )
     )
-    config = load_repository_config(path)
-    assert config.repo_name == "urn:test:repo-r1"
-    assert config.worker_limit == 8
+    assert load_repository_config(path) == RepositoryConfig(
+        "urn:test:repo-r1", str(tmp_path / "root"), "127.0.0.1:0", "127.0.0.1:9000", "test"
+    )
 
 
 REPO_CONFIG = {
@@ -507,12 +507,13 @@ CONFIG_LOADERS = {
         ("repo", "storage_root", 5),
         ("repo", "storage_root", None),
         ("repo", "storage_root", ["x"]),
-        *[("repo", "worker_limit", v) for v in (True, "8", 8.9, 0, -3)],
+        # the retired key is unknown, so it is refused whatever its value
+        *[("repo", "worker_limit", v) for v in (True, 8, 8.9, 0, -3)],
         ("repo", "urn_namespace", "Demo Space"),
         ("repo", "urn_namespace", 5),
         ("naming", "worker_limt", 8),
         *[("naming", "journal_path", v) for v in (5, None, ["x"])],
-        *[("naming", "worker_limit", v) for v in (True, "8", 8.9, 0, -3)],
+        *[("naming", "worker_limit", v) for v in (True, 8, 8.9, 0, -3)],
     ],
 )
 def test_configs_refuse_what_they_cannot_use(tmp_path, kind, key, value):
@@ -538,7 +539,7 @@ def test_failed_registration_leaves_the_object_unnamed(tmp_path):
 
 def test_shipped_configs_load():
     configs = Path(__file__).resolve().parent.parent / "configs"
-    assert load_naming_config(configs / "naming.json").worker_limit == 8
+    assert load_naming_config(configs / "naming.json").listen_endpoint == "127.0.0.1:7800"
     for path in sorted(configs.glob("repo-*.json")):
         assert load_repository_config(path).urn_namespace == "demo"
 

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import concurrent.futures
 import importlib
+import itertools
 import json
+import logging
 import re
 import socket
+import struct
 import threading
 import time
 import urllib.parse
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -485,6 +489,82 @@ def test_concurrent_wire_reads(wire_federation):
     assert len(set(results)) == 1
 
 
+def _held(call, barrier: threading.Barrier):
+    """``call``, with its first ``barrier.parties`` calls held until all of
+    them have arrived (or the barrier times out)."""
+    tickets = itertools.count()
+
+    def held(*args):
+        if next(tickets) < barrier.parties:
+            barrier.wait()
+        return call(*args)
+
+    return held
+
+
+def _concurrently(calls) -> tuple[list, float]:
+    """Run each call on a thread of its own; (results or errors, seconds)."""
+
+    def attempt(call):
+        try:
+            return call()
+        except ObjectRepositoryError as exc:
+            return exc
+
+    started = time.monotonic()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        results = list(pool.map(attempt, calls))
+    return results, time.monotonic() - started
+
+
+def test_cold_cache_disseminations_resolving_types_from_their_own_server(
+    wire_federation, monkeypatch
+):
+    """Each dissemination fetches its types over HTTP from the server that is
+    serving it. Eight, held at their first type lookup until all have
+    arrived, must not wait on each other."""
+    fed = wire_federation
+    name = wire_marc_object(fed, acl=None)
+    endpoint = fed.servers[0].endpoint
+    expected = fed.clients[0].get_dissemination(name, fed.types["type-dc"], "getDCRecord", {})
+    resolver = fed.repos[0].resolver
+    resolver.flush_cache()
+    held = _held(resolver._naming.resolve, threading.Barrier(8, timeout=5))
+    monkeypatch.setattr(resolver._naming, "resolve", held)
+
+    def disseminate():
+        client = RepositoryClient(endpoint, timeout=3.0)
+        return client.get_dissemination(name, fed.types["type-dc"], "getDCRecord", {})
+
+    results, seconds = _concurrently([disseminate] * 8)
+    assert results == [expected] * 8
+    assert seconds < 2
+
+
+def test_repositories_replicating_to_each_other_all_complete(wire_federation, monkeypatch):
+    """Eight replicates each way, each held just before its push to the peer
+    until all sixteen have arrived: every one completes, and every name
+    then resolves to both repositories."""
+    fed = wire_federation
+    endpoints = [server.endpoint for server in fed.servers]
+    calls, expected = [], {}
+    for source, target in ((0, 1), (1, 0)):
+        for i in range(8):
+            handle = fed.clients[source].create_object()
+            fed.clients[source].add_datastream(handle, "text/plain", f"{source}-{i}".encode())
+            name = fed.clients[source].deposit(handle)
+            client = RepositoryClient(endpoints[source], timeout=3.0)
+            calls.append(partial(client.replicate, name, endpoints[target]))
+            expected[name] = [endpoints[source], endpoints[target]]
+    held = _held(RepositoryClient.receive_manifest, threading.Barrier(16, timeout=5))
+    monkeypatch.setattr(RepositoryClient, "receive_manifest", held)
+
+    results, seconds = _concurrently(calls)
+    assert results == [None] * 16
+    assert seconds < 2
+    assert {name: fed.naming_client.resolve(name) for name in expected} == expected
+
+
 # ---------------------------------------------------------------------------
 # connections
 
@@ -559,7 +639,7 @@ class _CountingServer(WireServer):
 
 
 def test_fresh_clients_on_one_thread_share_one_connection():
-    server = _CountingServer("127.0.0.1", 0, NAMING_ROUTES, NamingService(), 4).start()
+    server = _CountingServer("127.0.0.1", 0, NAMING_ROUTES, NamingService()).start()
     try:
         server.context.register("urn:x:pooled", "a.local:1")
         for _ in range(20):
@@ -699,3 +779,32 @@ def test_idle_connections_are_closed_by_the_server(naming_server, monkeypatch):
     finally:
         for sock in socks:
             sock.close()
+
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [
+        b"GET /names/urn%3Ax%3Areset HTTP/1.1\r\nHost: x\r\n",
+        b"PUT /names/urn%3Ax%3Areset HTTP/1.1\r\nHost: x\r\nContent-Length: 40\r\n\r\n{",
+    ],
+    ids=["mid-headers", "mid-body"],
+)
+def test_a_client_reset_is_a_closed_connection(naming_server, capfd, caplog, sent):
+    """A client that resets (SO_LINGER 0) while the server waits for the rest
+    of its request has closed its connection: the server logs and prints
+    nothing, and answers the next one."""
+    server = naming_server[0]
+    host, port = server.endpoint.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=10)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.sendall(sent)
+    time.sleep(0.2)
+    sock.close()
+    deadline = time.monotonic() + 5
+    while server._open and time.monotonic() < deadline:  # until its handler has ended
+        time.sleep(0.02)
+    assert not server._open
+    assert capfd.readouterr().err == ""
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+    assert probe(server.endpoint, "GET", "/names/urn%3Ax%3Areset")[0] == 404
