@@ -9,7 +9,9 @@ added by servlet programs resolved through a :class:`~objrepo.typesys.ContentTyp
 Objects serialize to a canonical, digest-carrying JSON manifest so replicas
 can be compared byte-for-byte across repositories. Reading one back checks
 the digest first, then the :mod:`objrepo.shape` schema of the manifest and
-the bindings it shares with requests.
+the bindings it shares with requests. A repository stores an object as a
+storage record: the same document with the SHA-256 of each large stream in
+place of its body, whose bytes are kept apart under that hash.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ from .errors import (
 )
 
 MANIFEST_VERSION = "objrepo-manifest-1"
+RECORD_VERSION = "objrepo-record-1"
+#: A stream body of at least this many bytes is stored apart from its
+#: object's storage record, as a blob named by its SHA-256; a smaller one
+#: stays in the record as base64. Each body stored apart costs a file
+#: creation when first stored, and each body kept in the record costs its
+#: re-encoding and rewrite at every write of the object; at about this size
+#: the two cost the same.
+BLOB_MIN_BYTES = 64 * 1024
 
 PRIMITIVE_TARGET = "PRIMITIVE"
 
@@ -82,9 +92,17 @@ KINDS = shape.one_of(*(kind.value for kind in DisseminatorKind))
 
 @dataclass
 class DataStream:
+    """An opaque byte package, never changed once created. ``sha256`` is the
+    hash of ``content``, computed once unless the caller already knows it."""
+
     id: str
     mime: str
     content: bytes
+    sha256: str = field(default="", compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.sha256:
+            self.sha256 = hashlib.sha256(self.content).hexdigest()
 
 
 @dataclass
@@ -405,14 +423,29 @@ class DigitalObjectKernel:
             raise UndepositedObject("object has no name yet; deposit it first")
         # Never None here: every other string value in a manifest sits
         # under a fixed key, so the skeleton has exactly one slot per stream.
-        parts = _canonical_parts(
+        return _sealed(_canonical_parts(
             self._manifest_dict(), [base64.b64encode(ds.content) for ds in self.datastreams]
-        )
-        # "digest" sorts after "datastreams", so its slot is in the last part.
-        parts[-1] = parts[-1].replace(
-            _DIGEST_SLOT, b'"digest":"%s"' % _sha256_hex(parts).encode("ascii"), 1
-        )
-        return b"".join(parts)
+        ))
+
+    def blobs(self) -> dict[str, bytes]:
+        """{SHA-256: body} of the streams a storage record names by hash."""
+        return {ds.sha256: ds.content for ds in self.datastreams
+                if len(ds.content) >= BLOB_MIN_BYTES}
+
+    def storage_record(self) -> bytes:
+        """The manifest document with the SHA-256 of each of :meth:`blobs`
+        in place of its body, sealed the same way with a digest of its own."""
+        if self.name is None:
+            raise UndepositedObject("object has no name yet; deposit it first")
+        doc = dict(self._manifest_dict(), version=RECORD_VERSION)
+        apart, inline = self.blobs(), []
+        for entry, ds in zip(doc["datastreams"], self.datastreams):
+            if ds.sha256 in apart:
+                del entry["content_b64"]
+                entry["sha256"] = ds.sha256
+            else:
+                inline.append(base64.b64encode(ds.content))
+        return _sealed(_canonical_parts(doc, inline))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalObjectKernel):
@@ -450,6 +483,17 @@ def _sha256_hex(parts: list[bytes]) -> str:
     for part in parts:
         digest.update(part)
     return digest.hexdigest()
+
+
+def _sealed(parts: list[bytes]) -> bytes:
+    """``parts`` joined, with the empty ``digest`` slot holding the SHA-256
+    of the whole. "digest" sorts after "access_managers" and "datastreams",
+    whose values hold no ``"digest":""``, so the first slot in the last part
+    is the document's own."""
+    parts[-1] = parts[-1].replace(
+        _DIGEST_SLOT, b'"digest":"%s"' % _sha256_hex(parts).encode("ascii"), 1
+    )
+    return b"".join(parts)
 
 
 def _expected_digest(doc: dict) -> str:
@@ -527,48 +571,86 @@ def _manifest_object(name, seq, datastreams, disseminators, access_managers, **_
     return obj
 
 
-_MANIFEST = shape.record(
-    _manifest_object,
-    version=shape.one_of(MANIFEST_VERSION),
-    name=shape.URN,
-    seq=shape.record(dict, diss=shape.integer(1), ds=shape.integer(1)),
-    datastreams=shape.list_of(shape.record(
-        lambda id, mime, content_b64: DataStream(id, mime, content_b64),
-        id=_DS_ID,
-        mime=shape.MIME,
-        content_b64=_base64,
-    )),
-    disseminators=shape.list_of(shape.record(
-        lambda id, kind, **fields: Disseminator(id, DisseminatorKind(kind), **fields),
-        id=shape.matches(DISS_ID_RE, "must be a disseminator id"),
-        kind=KINDS,
-        content_type=shape.URN,
-        servlet=shape.URN,
-        bindings=BINDINGS,
-    )),
-    access_managers=shape.list_of(
-        shape.record(dict, target=shape.STRING, scheme=shape.URN, bindings=BINDINGS)
-    ),
-    digest=shape.STRING,
-)
+def _document(version: str, stream: shape.Check) -> shape.Check:
+    """The schema of a manifest (``version`` MANIFEST_VERSION) or of a
+    storage record; they differ only in how a ``stream`` entry holds its body."""
+    return shape.record(
+        _manifest_object,
+        version=shape.one_of(version),
+        name=shape.URN,
+        seq=shape.record(dict, diss=shape.integer(1), ds=shape.integer(1)),
+        datastreams=shape.list_of(stream),
+        disseminators=shape.list_of(shape.record(
+            lambda id, kind, **fields: Disseminator(id, DisseminatorKind(kind), **fields),
+            id=shape.matches(DISS_ID_RE, "must be a disseminator id"),
+            kind=KINDS,
+            content_type=shape.URN,
+            servlet=shape.URN,
+            bindings=BINDINGS,
+        )),
+        access_managers=shape.list_of(
+            shape.record(dict, target=shape.STRING, scheme=shape.URN, bindings=BINDINGS)
+        ),
+        digest=shape.STRING,
+    )
 
 
-def deserialize_object(data: bytes) -> DigitalObjectKernel:
-    """Parse and verify a canonical manifest.
+_MANIFEST = _document(MANIFEST_VERSION, shape.record(
+    lambda id, mime, content_b64: DataStream(id, mime, content_b64),
+    id=_DS_ID,
+    mime=shape.MIME,
+    content_b64=_base64,
+))
+_SHA256 = shape.matches(re.compile(r"[0-9a-f]{64}\Z"), "must be a SHA-256 in hex")
 
-    The digest is checked before the shape so that corruption is always
-    reported as DIGEST_MISMATCH when the document still parses as JSON.
-    """
-    doc = shape.load(data, MalformedManifest, "manifest")
+
+def _check_digest(doc, what: str) -> None:
+    """``doc`` carries its digest: that of its canonical form with an empty
+    digest. It is checked before the shape so that corruption is always
+    reported as DIGEST_MISMATCH when the document still parses as JSON."""
     digest = doc.get("digest") if isinstance(doc, dict) else None
     if not isinstance(digest, str):
-        raise MalformedManifest("manifest: missing digest")
+        raise MalformedManifest(f"{what}: missing digest")
     try:
         expected = _expected_digest(doc)
     except (UnicodeEncodeError, RecursionError):
         # No canonical form: a lone surrogate has no UTF-8 encoding, and a
         # document may nest deeper than json.dumps recurses.
-        raise MalformedManifest("manifest has no canonical encoding") from None
+        raise MalformedManifest(f"{what} has no canonical encoding") from None
     if expected != digest:
-        raise DigestMismatch("manifest digest does not verify")
-    return shape.check(_MANIFEST, doc, MalformedManifest, "manifest")
+        raise DigestMismatch(f"{what} digest does not verify")
+
+
+def deserialize_object(data: bytes) -> DigitalObjectKernel:
+    """Parse and verify a canonical manifest: its digest, its shape, and that
+    it is the manifest of the object it describes, byte for byte."""
+    doc = shape.load(data, MalformedManifest, "manifest")
+    _check_digest(doc, "manifest")
+    obj = shape.check(_MANIFEST, doc, MalformedManifest, "manifest")
+    if obj.serialize() != data:
+        raise MalformedManifest("manifest is not in canonical form")
+    return obj
+
+
+def load_record(data: bytes, blob) -> DigitalObjectKernel:
+    """The object a :meth:`~DigitalObjectKernel.storage_record` describes,
+    once its digest and shape verify, the body of each stream named by hash
+    read by ``blob(sha256)``."""
+    doc = shape.load(data, MalformedManifest, "record")
+    _check_digest(doc, "record")
+
+    def stream(id, mime, content_b64=None, sha256=None):
+        if (content_b64 is None) == (sha256 is None):
+            raise shape.Invalid("must hold one of content_b64 and sha256")
+        if sha256 is None:
+            return DataStream(id, mime, content_b64)
+        return DataStream(id, mime, blob(sha256), sha256)
+
+    streams = shape.record(
+        stream,
+        id=_DS_ID,
+        mime=shape.MIME,
+        content_b64=shape.optional(_base64),
+        sha256=shape.optional(_SHA256),
+    )
+    return shape.check(_document(RECORD_VERSION, streams), doc, MalformedManifest, "record")

@@ -20,13 +20,15 @@ reply (it is linearizable), and a failed write changes nothing served or stored.
 from __future__ import annotations
 
 import logging
+import re
 import threading
 import time
 import urllib.parse
 import uuid
 import weakref
+from collections import Counter
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import access, shape
@@ -43,7 +45,14 @@ from .errors import (
     NotRegistered,
     TargetUnreachable,
 )
-from .kernel import PRIMITIVES, DigitalObjectKernel, deserialize_object
+from .canonical import sha256_hex
+from .kernel import (
+    MANIFEST_VERSION,
+    PRIMITIVES,
+    DigitalObjectKernel,
+    deserialize_object,
+    load_record,
+)
 from .typesys import ContentTypeResolver
 
 log = logging.getLogger(__name__)
@@ -84,53 +93,143 @@ def encode_name(name: str) -> str:
 
 
 class ObjectStore:
-    """One canonical manifest file per deposited object, written with a
-    temp-then-rename discipline; unreadable manifests are quarantined."""
+    """One storage record per deposited object, as ``objects/<encoded
+    name>.json``, and each distinct large stream body once, as
+    ``blobs/<sha256>`` (:data:`~objrepo.kernel.BLOB_MIN_BYTES`).
+
+    Every file is written to a temp file and renamed into place, the blobs an
+    object adds before its record. A blob is kept while a record names it:
+    each save pins the blobs it names before it looks for them on disk, and a
+    blob is removed only when its last pin goes, so a concurrent delete never
+    takes a blob from under a record being written."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
+        self.blobs_dir = self.root / "blobs"
         self.quarantine_dir = self.root / "quarantine"
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+        for directory in (self.objects_dir, self.blobs_dir, self.quarantine_dir):
+            directory.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._pins: Counter[str] = Counter()  # blob -> records that name it, and saves under way
+        self._named: dict[str, frozenset[str]] = {}  # object name -> blobs its record names
 
     def path_for(self, name: str) -> Path:
         return self.objects_dir / (encode_name(name) + ".json")
 
-    def save_bytes(self, name: str, manifest: bytes) -> None:
-        path = self.path_for(name)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_bytes(manifest)
-        tmp.replace(path)
+    def blob_path(self, sha256: str) -> Path:
+        return self.blobs_dir / sha256
+
+    def save_bytes(self, path: Path, data: bytes) -> None:
+        """Write one file of the store: a temp file beside ``path``, renamed over it."""
+        tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            tmp.write_bytes(data)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def save(self, obj: DigitalObjectKernel) -> None:
-        self.save_bytes(obj.name, obj.serialize())
+        """Write the blobs of ``obj`` not stored yet, then its record; blobs
+        that no record names any more are removed."""
+        bodies = obj.blobs()
+        named = frozenset(bodies)
+        self._pin(named)
+        try:
+            for sha256, content in bodies.items():
+                path = self.blob_path(sha256)
+                if not path.exists():  # a pinned blob on disk stays there
+                    self.save_bytes(path, content)
+            self.save_bytes(self.path_for(obj.name), obj.storage_record())
+        except BaseException:
+            self._unpin(named)
+            raise
+        with self._lock:
+            before = self._named.get(obj.name, frozenset())
+            self._named[obj.name] = named
+        self._unpin(before)
 
     def read_bytes(self, name: str) -> bytes:
-        return self.path_for(name).read_bytes()
+        """The canonical manifest of the stored object, rebuilt from its record and blobs."""
+        return load_record(self.path_for(name).read_bytes(), self._read_blob).serialize()
 
     def delete(self, name: str) -> None:
         self.path_for(name).unlink(missing_ok=True)
+        with self._lock:
+            named = self._named.pop(name, frozenset())
+        self._unpin(named)
 
-    def quarantine(self, path: Path, why: Exception) -> None:
+    def quarantine(self, path: Path, why) -> None:
         target = self.quarantine_dir / f"{path.name}.{time.time_ns()}"
         path.replace(target)
         log.warning("quarantined %s: %s", path.name, why)
 
+    def _pin(self, blobs) -> None:
+        with self._lock:
+            self._pins.update(blobs)
+
+    def _unpin(self, blobs) -> None:
+        with self._lock:
+            self._pins.subtract(blobs)
+            for sha256 in blobs:
+                if self._pins[sha256] <= 0:
+                    del self._pins[sha256]
+                    self.blob_path(sha256).unlink(missing_ok=True)
+
+    def _read_blob(self, sha256: str) -> bytes:
+        try:
+            data = self.blob_path(sha256).read_bytes()
+        except FileNotFoundError:
+            raise DigestMismatch(f"blob {sha256} is missing") from None
+        if sha256_hex(data) != sha256:
+            raise DigestMismatch(f"blob {sha256} does not match its hash")
+        return data
+
     def load_all(self) -> dict[str, DigitalObjectKernel]:
-        """Parse and digest-verify every manifest; corrupt ones are moved
-        aside and never served."""
+        """Verify and load every record, each blob read and hashed once.
+
+        A record that does not verify, is filed under another name, or names
+        a blob that is missing or does not match its hash is quarantined,
+        never served; so is every blob that only quarantined records name.
+        Other blobs no record names, and temp files a crash left, are removed.
+        A manifest of the one-file layout objrepo stored before blobs is
+        converted in place: its blobs are written, then its record is renamed
+        over it."""
+        blob = cache(self._read_blob)  # a blob that does not verify is not cached
         objects: dict[str, DigitalObjectKernel] = {}
+        suspect: set[str] = set()
         for path in sorted(self.objects_dir.glob("*.json")):
+            data = path.read_bytes()
+            old = data.endswith(_MANIFEST_END)
+            named = frozenset(ref.decode("ascii") for ref in _BLOB_REF.findall(data))
             try:
-                obj = deserialize_object(path.read_bytes())
+                obj = deserialize_object(data) if old else load_record(data, blob)
                 if encode_name(obj.name) + ".json" != path.name:
-                    raise MalformedManifest(f"manifest name {obj.name} does not match filename")
+                    raise MalformedManifest(f"object {obj.name} is not filed under its name")
             except (MalformedManifest, DigestMismatch) as exc:
+                suspect |= named
                 self.quarantine(path, exc)
                 continue
+            if old:
+                self.save(obj)
+            else:
+                self._named[obj.name] = named
+                self._pin(named)
             objects[obj.name] = obj
+        for path in [*self.objects_dir.glob("*.tmp"), *self.blobs_dir.iterdir()]:
+            if path.name in self._pins:
+                continue
+            if path.name in suspect:
+                self.quarantine(path, "named only by quarantined records")
+            else:
+                path.unlink()
         return objects
+
+
+#: how every manifest ``serialize`` writes ends: "version" is its last key
+_MANIFEST_END = b'"version":"%s"}' % MANIFEST_VERSION.encode("ascii")
+_BLOB_REF = re.compile(rb'"sha256":"([0-9a-f]{64})"')
 
 
 class Repository:
@@ -309,14 +408,15 @@ class Repository:
                 self._objects.pop(name, None)
 
     def receive_manifest(self, manifest: bytes) -> str:
-        """Inter-repository transfer target: verify then persist verbatim,
-        so replica digests stay byte-identical to the source."""
+        """Inter-repository transfer target: verify, then persist. Only a
+        canonical manifest is taken, so the replica serializes to the very
+        bytes it was sent and replica digests stay byte-identical."""
         obj = deserialize_object(manifest)
         name = obj.name
         with self._lock_for(name):
             if self.contains(name):
                 raise AlreadyPresent(f"{name} is already at {self.endpoint}")
-            self.store.save_bytes(name, manifest)
+            self.store.save(obj)
             with self._guard:
                 self._objects[name] = obj
         return name

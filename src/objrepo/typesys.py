@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, NoReturn
 
@@ -658,6 +659,7 @@ class ContentTypeResolver:
         self._naming = naming
         self._client_factory = client_factory
         self._cache: dict[tuple[str, str], object] = {}
+        self._flights: dict[tuple[str, str], Future] = {}  # lookups under way
         self._lock = threading.Lock()
         self.fetch_count = 0  # network attempts; exposed for tests
 
@@ -677,17 +679,32 @@ class ContentTypeResolver:
             return n
 
     def _resolve(self, type_urn: str, urn: str):
-        """The document object ``urn`` serves as a ``type_urn`` built-in, parsed."""
+        """The document object ``urn`` serves as a ``type_urn`` built-in,
+        parsed. Concurrent cold lookups of one document share one fetch, and
+        its failure, which is not cached."""
         key = (type_urn, urn)
         with self._lock:
             cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        row = BUILTIN_TYPES[type_urn]
-        data = self._fetch(urn, type_urn, row.methods[0])
-        doc = row.parse(data)
+            if cached is not None:
+                return cached
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._flights[key] = Future()
+        if not leader:
+            return flight.result()
+        try:
+            row = BUILTIN_TYPES[type_urn]
+            doc = row.parse(self._fetch(urn, type_urn, row.methods[0]))
+        except BaseException as exc:
+            with self._lock:
+                del self._flights[key]
+            flight.set_exception(exc)
+            raise
         with self._lock:
             self._cache[key] = doc
+            del self._flights[key]
+        flight.set_result(doc)
         return doc
 
     def _fetch(self, urn: str, type_urn: str, method: str) -> bytes:

@@ -28,10 +28,12 @@ from objrepo.errors import (
     UnresolvableType,
 )
 from objrepo.kernel import (
+    BLOB_MIN_BYTES,
     PRIMITIVE_TARGET,
     DigitalObjectKernel,
     DisseminatorKind,
     deserialize_object,
+    load_record,
 )
 
 BOOK = STUB_URNS["type-book"]
@@ -591,6 +593,22 @@ def test_ids_longer_than_int_converts_are_malformed(stub_resolver, key, prefix):
     doc["digest"] = sha256_hex(canonical_bytes(dict(doc, digest="")))
     with pytest.raises(MalformedManifest):
         deserialize_object(canonical_bytes(doc))
+
+
+def test_storage_record_names_large_bodies_by_hash_and_round_trips(stub_resolver):
+    obj = named(marc_object(stub_resolver))
+    big = b"\x00" * BLOB_MIN_BYTES
+    obj.create_datastream("application/octet-stream", big)
+    record = obj.storage_record()
+    assert obj.blobs() == {sha256_hex(big): big}
+    assert record.count(b'"sha256":') == 1 and record.count(b'"content_b64":') == 2
+    twin = load_record(record, obj.blobs().__getitem__)
+    assert twin == obj and twin.serialize() == obj.serialize()
+    doc = json.loads(record)
+    doc["datastreams"][0]["sha256"] = sha256_hex(big)  # both forms at once
+    doc["digest"] = sha256_hex(canonical_bytes(dict(doc, digest="")))
+    with pytest.raises(MalformedManifest):
+        load_record(canonical_bytes(doc), obj.blobs().__getitem__)
 
 
 def test_id_monotonicity_preserved_across_round_trip(stub_resolver):

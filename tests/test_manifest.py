@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_wire_federation, probe
@@ -291,6 +291,81 @@ def test_hostile_manifest_verdicts(data):
         except (MalformedManifest, DigestMismatch):
             assert _tree(root) == before
 
+
+
+def test_hostile_manifests_over_the_wire(tmp_path):
+    """The hostile manifests, sent to ``POST /internal/receive-manifest``:
+    each refused in process is refused over the wire with the same code in a
+    400 envelope, and the storage root is left as it was."""
+    fed = make_wire_federation(tmp_path, with_types=False)
+    try:
+        endpoint = fed.servers[0].endpoint
+        root = Path(fed.repos[0].config.storage_root)
+        before = _tree(root)
+
+        @settings(max_examples=200)
+        @given(hostile_manifests())
+        def refused_alike(data):
+            try:
+                deserialize_object(data)
+            except (MalformedManifest, DigestMismatch) as exc:
+                code = exc.code
+            else:
+                code = None
+            assume(code is not None)  # a few mutations leave a valid manifest
+            status, doc = probe(endpoint, "POST", "/internal/receive-manifest", data)
+            assert (status, doc["error"]) == (400, code)
+
+        refused_alike()
+        assert _tree(root) == before
+    finally:
+        fed.stop()
+
+
+def non_canonical_manifests() -> dict[str, bytes]:
+    """Manifests whose digest verifies but which are not the bytes their
+    object serializes to."""
+    obj = DigitalObjectKernel(name="urn:test:not-canonical")
+    obj.create_datastream("text/plain", b"A")
+    doc = json.loads(obj.serialize())
+    assert doc["datastreams"][0]["content_b64"] == "QQ=="
+    doc["datastreams"][0]["content_b64"] = "QR=="  # also decodes to b"A"
+    doc["digest"] = sha256_hex(canonical_bytes(dict(doc, digest="")))
+    return {
+        "padding bits set": canonical_bytes(doc),
+        "pretty-printed": json.dumps(json.loads(obj.serialize()), indent=1).encode(),
+    }
+
+
+@pytest.mark.parametrize("case", ["padding bits set", "pretty-printed"])
+def test_non_canonical_manifests_are_refused_and_nothing_is_stored(case, tmp_path):
+    manifest = non_canonical_manifests()[case]
+    with pytest.raises(MalformedManifest, match="canonical form"):
+        deserialize_object(manifest)
+    repo = Repository(
+        RepositoryConfig("urn:test:repo-c", str(tmp_path), "c.local:80", "naming.local:80", "test"),
+        naming=None,
+        client_factory=None,
+    )
+    before = _tree(tmp_path)
+    with pytest.raises(MalformedManifest) as err:
+        repo.receive_manifest(manifest)
+    assert err.value.code == "MALFORMED_MANIFEST"
+    assert _tree(tmp_path) == before and not repo.contains("urn:test:not-canonical")
+
+
+def test_receive_manifest_route_refuses_non_canonical_manifests(tmp_path):
+    fed = make_wire_federation(tmp_path, with_types=False)
+    try:
+        root = Path(fed.repos[0].config.storage_root)
+        before = _tree(root)
+        for case, manifest in non_canonical_manifests().items():
+            status, doc = probe(fed.servers[0].endpoint, "POST", "/internal/receive-manifest",
+                                manifest)
+            assert (status, doc["error"]) == (400, "MALFORMED_MANIFEST"), case
+        assert _tree(root) == before
+    finally:
+        fed.stop()
 
 
 # -- built-in disseminator records ----------------------------------------------

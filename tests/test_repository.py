@@ -15,6 +15,7 @@ from conftest import (
     ACL_ALICE_ALL,
     MARC_FIXTURE,
     acl_bytes,
+    build_book_object,
     build_marc_object,
     make_federation,
 )
@@ -30,7 +31,7 @@ from objrepo.errors import (
     NotRegistered,
     TargetUnreachable,
 )
-from objrepo.kernel import PRIMITIVE_TARGET, DigitalObjectKernel, deserialize_object
+from objrepo.kernel import BLOB_MIN_BYTES, PRIMITIVE_TARGET, DigitalObjectKernel, deserialize_object
 from objrepo.naming import NamingService, load_naming_config
 from objrepo.repository import Repository, RepositoryConfig, load_repository_config
 
@@ -292,22 +293,41 @@ def test_restart_preserves_objects(tmp_path):
     assert data == b"Moby-Dick; or, The Whale"
 
 
+def large(text: bytes) -> bytes:
+    """A stream body stored apart from its object's record, as a blob."""
+    return text.ljust(BLOB_MIN_BYTES, b".")
+
+
+def flip_byte(path: Path, at: int = 0) -> None:
+    data = bytearray(path.read_bytes())
+    data[at] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def blob_of(repo: Repository, name: str, ds_id: str) -> Path:
+    sha256 = next(ds.sha256 for ds in repo._version(name).datastreams if ds.id == ds_id)
+    return repo.store.blob_path(sha256)
+
+
+def quarantined(repo: Repository) -> list[str]:
+    """What the quarantine holds, each file by the name it was filed under."""
+    return sorted(q.name.rsplit(".", 1)[0] for q in repo.store.quarantine_dir.iterdir())
+
+
 def test_corrupt_manifest_is_quarantined_others_served(tmp_path):
     fed = make_federation(tmp_path)
     good = build_marc_object(fed)
     bad = build_marc_object(fed)
     repo = fed.repos[0]
-    path = repo.store.path_for(bad)
-    blob = bytearray(path.read_bytes())
-    at = blob.index(b'"content_b64":"') + len(b'"content_b64":"')
-    blob[at] = ord("B") if blob[at : at + 1] == b"A" else ord("A")
-    path.write_bytes(bytes(blob))
+    ds = repo.run(bad, "create_datastream", "text/plain", large(b"only the bad object holds this"))
+    blob = blob_of(repo, bad, ds)
+    flip_byte(blob)
 
     reborn = restart_repo(fed, 0)
     assert reborn.contains(good)
     assert not reborn.contains(bad)
-    quarantined = list(reborn.store.quarantine_dir.iterdir())
-    assert len(quarantined) == 1 and quarantined[0].name.startswith(path.name)
+    assert quarantined(reborn) == sorted([repo.store.path_for(bad).name, blob.name])
+    assert reborn.run(good, "get_datastream_content", "DS1")[1] == MARC_FIXTURE
 
 
 def test_renamed_manifest_file_is_quarantined(tmp_path):
@@ -318,6 +338,175 @@ def test_renamed_manifest_file_is_quarantined(tmp_path):
     reborn = restart_repo(fed, 0)
     assert not reborn.contains(name)
     assert len(list(reborn.store.quarantine_dir.iterdir())) == 1
+
+
+def test_a_flipped_byte_in_a_shared_blob_quarantines_every_object_naming_it(tmp_path):
+    fed = make_federation(tmp_path)
+    repo = fed.repos[0]
+    sharing = [build_marc_object(fed) for _ in range(2)]
+    for name in sharing:
+        repo.run(name, "create_datastream", "text/plain", large(b"held by two objects"))
+        repo.run(name, "create_datastream", "text/plain", large(name.encode()))
+    other = build_marc_object(fed)
+    repo.run(other, "create_datastream", "text/plain", large(b"held by another"))
+    blob = blob_of(repo, sharing[0], "DS3")
+    assert blob == blob_of(repo, sharing[1], "DS3")  # stored once
+    flip_byte(blob, at=5)
+
+    reborn = restart_repo(fed, 0)
+    assert not any(reborn.contains(name) for name in sharing)
+    # the corrupt blob, with the records and the other blobs only those records name
+    assert quarantined(reborn) == sorted([blob.name] + [
+        f(n).name for n in sharing for f in (repo.store.path_for, lambda n: blob_of(repo, n, "DS4"))
+    ])
+    mime, data = fed.client(0).get_dissemination(
+        other, fed.types["type-dc"], "getDCField", {"field": "Title"}, "alice"
+    )
+    assert data == b"Moby-Dick; or, The Whale"
+
+
+def test_a_corrupt_record_is_quarantined(tmp_path):
+    fed = make_federation(tmp_path)
+    good, bad = build_marc_object(fed), build_marc_object(fed)
+    repo = fed.repos[0]
+    path = repo.store.path_for(bad)
+    flip_byte(path, at=path.read_bytes().index(b"x-marc-lines"))
+    reborn = restart_repo(fed, 0)
+    assert reborn.contains(good) and not reborn.contains(bad)
+    assert quarantined(reborn) == [path.name]
+    assert reborn.store.read_bytes(good) == repo.store.read_bytes(good)
+
+
+def stored_blobs(repo: Repository) -> set[str]:
+    return {p.name for p in repo.store.blobs_dir.iterdir()}
+
+
+def test_blobs_no_record_names_are_removed_while_serving(tmp_path):
+    fed = make_federation(tmp_path, n_repos=2)
+    src, dst = fed.repos
+    kept = build_marc_object(fed)
+    name = build_marc_object(fed)
+    for obj in (kept, name):
+        src.run(obj, "create_datastream", "text/plain", large(b"held by both"))
+    ds = src.run(name, "create_datastream", "text/plain", large(b"this object's own bytes"))
+    own = blob_of(src, name, ds).name
+    shared = stored_blobs(src) - {own}
+
+    src.replicate(name, dst.endpoint)
+    src.delete(name)
+    assert stored_blobs(src) == shared  # the blob shared with `kept` stays
+    assert own in stored_blobs(dst)
+    dst.move(name, src.endpoint)
+    assert own in stored_blobs(src)
+    assert stored_blobs(dst) == set()
+    assert src.store.read_bytes(kept) and src.store.read_bytes(name)
+
+
+def test_orphan_blobs_and_temp_files_are_swept_at_load(tmp_path):
+    fed = make_federation(tmp_path)
+    name = build_marc_object(fed)
+    store = fed.repos[0].store
+    held = stored_blobs(fed.repos[0])
+    crash_leftovers = [
+        store.blob_path(sha256_hex(b"orphan")),
+        store.blobs_dir / f"{sha256_hex(b'half')}.0123abcd.tmp",
+        store.objects_dir / "urn%3Atest%3Ahalf.json.0123abcd.tmp",
+    ]
+    for path in crash_leftovers:
+        path.write_bytes(b"orphan")
+    reborn = restart_repo(fed, 0)
+    assert not any(path.exists() for path in crash_leftovers)
+    assert stored_blobs(reborn) == held
+    assert quarantined(reborn) == []
+    assert reborn.contains(name)
+
+
+def test_concurrent_delete_and_deposit_of_the_same_bytes_keep_every_blob(federation):
+    """A delete that drops the last record naming some bytes races a deposit
+    of the same bytes; the deposited record never names a missing blob."""
+    repo = federation.repos[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i in range(150):
+            payload = large(f"payload {i}".encode())
+            doomed = repo.create_object()
+            repo.run(doomed, "create_datastream", "text/plain", payload, staged=True)
+            doomed = repo.deposit(doomed)
+            handle = repo.create_object()
+            repo.run(handle, "create_datastream", "text/plain", payload, staged=True)
+            gate = threading.Barrier(2)
+            deposited = []
+
+            def delete():
+                gate.wait(5)
+                repo.delete(doomed)
+
+            def deposit():
+                gate.wait(5)
+                deposited.append(repo.deposit(handle))
+
+            threads = [threading.Thread(target=delete), threading.Thread(target=deposit)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(5)
+            assert not any(t.is_alive() for t in threads)
+            assert repo.store.blob_path(sha256_hex(payload)).exists(), i
+            assert deserialize_object(repo.store.read_bytes(deposited[0]))
+    finally:
+        sys.setswitchinterval(interval)
+    reborn = restart_repo(federation, 0)
+    assert quarantined(reborn) == []
+    assert len(reborn.names()) == len(repo.names())
+
+
+def test_an_old_format_root_loads_serves_the_same_manifests_and_is_converted(tmp_path):
+    fed = make_federation(tmp_path)
+    names = [build_marc_object(fed), build_book_object(fed)]
+    repo = fed.repos[0]
+    repo.run(names[1], "create_datastream", "image/gif", large(b"GIF89a"))
+    manifests = {name: repo.store.read_bytes(name) for name in repo.names()}
+    # the layout before blobs: one manifest file per object, nothing else
+    for blob in repo.store.blobs_dir.iterdir():
+        blob.unlink()
+    for name, manifest in manifests.items():
+        repo.store.path_for(name).write_bytes(manifest)
+
+    reborn = restart_repo(fed, 0)
+    assert quarantined(reborn) == []
+    assert {name: reborn.store.read_bytes(name) for name in reborn.names()} == manifests
+    for name in manifests:
+        assert reborn.store.path_for(name).read_bytes().endswith(b'"version":"objrepo-record-1"}')
+    assert stored_blobs(reborn) == {blob_of(reborn, names[1], "DS4").name}
+    mime, data = fed.client(0).get_dissemination(
+        names[0], fed.types["type-dc"], "getDCField", {"field": "Title"}, "alice"
+    )
+    assert data == b"Moby-Dick; or, The Whale"
+    # converted once: a second start finds records only, and serves the same
+    again = restart_repo(fed, 0)
+    assert {name: again.store.read_bytes(name) for name in again.names()} == manifests
+
+
+def test_set_access_manager_writes_only_the_objects_record(federation, monkeypatch):
+    repo = federation.repos[0]
+    name = build_marc_object(federation)
+    repo.run(name, "create_datastream", "image/gif", large(b"GIF89a"))
+    before = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+              for p in repo.store.blobs_dir.iterdir()}
+    written = []
+    save_bytes = repo.store.save_bytes
+
+    def spy(path, data):
+        written.append(path)
+        save_bytes(path, data)
+
+    monkeypatch.setattr(repo.store, "save_bytes", spy)
+    diss = repo.run(name, "get_disseminators")[0]["id"]
+    repo.run(name, "set_access_manager", diss, federation.types["acl-v1"], {"acl": ["DS2"]})
+    assert written == [repo.store.path_for(name)]
+    assert {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in repo.store.blobs_dir.iterdir()} == before
 
 
 def test_empty_root_is_empty_store(tmp_path):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 import re
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -621,6 +624,58 @@ def test_resolver_flush_semantics(tmp_path):
     assert resolver.fetch_count == 2  # resolve-flush-resolve refetches
     assert resolver.flush_cache() == 1
     assert resolver.flush_cache() == 0
+
+
+class SlowClient:
+    """A repository client whose document fetch takes long enough for every
+    concurrent lookup to arrive while it is under way."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def get_dissemination(self, *args):
+        time.sleep(0.2)
+        return self.inner.get_dissemination(*args)
+
+
+def concurrent_cold_lookups(resolver, fed) -> list:
+    """8 lookups released at once, alternating between two documents; each
+    result is the document or the exception raised."""
+    gate = threading.Barrier(8)
+    lookups = [(resolver.resolve_content_type, fed.types["type-dc"]),
+               (resolver.resolve_servlet, fed.types["mech-marc2dc"])]
+
+    def lookup(i):
+        resolve, urn = lookups[i % 2]
+        gate.wait(5)
+        try:
+            return resolve(urn)
+        except UnresolvableType as exc:
+            return exc
+
+    with ThreadPoolExecutor(8) as pool:
+        return list(pool.map(lookup, range(8), timeout=10))
+
+
+def test_concurrent_cold_lookups_share_one_fetch_per_document(tmp_path):
+    fed = make_federation(tmp_path)
+    resolver = ContentTypeResolver(fed.naming, lambda at: SlowClient(fed.registry.client(at)))
+    docs = concurrent_cold_lookups(resolver, fed)
+    assert resolver.fetch_count == 2
+    assert docs[0].type_name == "DublinCore"
+    assert all(doc is docs[i % 2] for i, doc in enumerate(docs))
+
+
+def test_a_failed_shared_fetch_reaches_every_waiter_and_is_not_cached(tmp_path):
+    fed = make_federation(tmp_path)
+    resolver = ContentTypeResolver(fed.naming, lambda at: SlowClient(fed.registry.client(at)))
+    fed.registry.kill(fed.repos[0].endpoint)
+    failures = concurrent_cold_lookups(resolver, fed)
+    assert all(isinstance(f, UnresolvableType) for f in failures)
+    assert resolver.fetch_count == 2  # one attempt per document, at its one location
+    fed.registry.revive(fed.repos[0].endpoint)
+    assert resolver.resolve_content_type(fed.types["type-dc"]).type_name == "DublinCore"
+    assert resolver.fetch_count == 3
 
 
 def test_resolver_unregistered_urn(tmp_path):

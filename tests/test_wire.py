@@ -529,8 +529,9 @@ def test_cold_cache_disseminations_resolving_types_from_their_own_server(
     expected = fed.clients[0].get_dissemination(name, fed.types["type-dc"], "getDCRecord", {})
     resolver = fed.repos[0].resolver
     resolver.flush_cache()
-    held = _held(resolver._naming.resolve, threading.Barrier(8, timeout=5))
-    monkeypatch.setattr(resolver._naming, "resolve", held)
+    # held on entry to the resolver: the lookups then share one fetch per document
+    held = _held(resolver._resolve, threading.Barrier(8, timeout=5))
+    monkeypatch.setattr(resolver, "_resolve", held)
 
     def disseminate():
         client = RepositoryClient(endpoint, timeout=3.0)
