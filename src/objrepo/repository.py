@@ -175,7 +175,10 @@ class ObjectStore:
             for sha256 in blobs:
                 if self._pins[sha256] <= 0:
                     del self._pins[sha256]
-                    self.blob_path(sha256).unlink(missing_ok=True)
+                    try:
+                        self.blob_path(sha256).unlink(missing_ok=True)
+                    except OSError as exc:  # the write it follows is done; the next start sweeps it
+                        log.warning("could not remove blob %s: %s", sha256, exc)
 
     def _read_blob(self, sha256: str) -> bytes:
         try:

@@ -402,6 +402,27 @@ def test_blobs_no_record_names_are_removed_while_serving(tmp_path):
     assert src.store.read_bytes(kept) and src.store.read_bytes(name)
 
 
+def test_a_blob_that_cannot_be_removed_does_not_fail_the_write(tmp_path, monkeypatch):
+    fed = make_federation(tmp_path)
+    repo = fed.repos[0]
+    name = build_marc_object(fed)
+    ds = repo.run(name, "create_datastream", "text/plain", large(b"stuck"))
+    blob = blob_of(repo, name, ds)
+    unlink = Path.unlink
+
+    def refuse_blobs(path, missing_ok=False):
+        if path.parent == repo.store.blobs_dir:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", refuse_blobs)
+    repo.delete(name)
+    assert not repo.contains(name) and blob.exists()
+    monkeypatch.undo()
+    reborn = restart_repo(fed, 0)
+    assert not blob.exists() and quarantined(reborn) == []
+
+
 def test_orphan_blobs_and_temp_files_are_swept_at_load(tmp_path):
     fed = make_federation(tmp_path)
     name = build_marc_object(fed)
