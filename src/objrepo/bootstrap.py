@@ -28,17 +28,15 @@ def load_recipes() -> list[dict]:
     return recipes
 
 
-def bootstrap_types(client, recipes: list[dict] | None = None) -> dict[str, str]:
-    """Deposit each recipe as a digital object carrying its document stream
-    and built-in disseminator; returns label -> minted URN.
+def bootstrap_types(client) -> dict[str, str]:
+    """Deposit each shipped recipe as a digital object carrying its document
+    stream and built-in disseminator; returns label -> minted URN.
 
     ``client`` needs the staging surface: create_object, add_datastream,
     add_disseminator, deposit (the wire RepositoryClient provides it).
     """
-    if recipes is None:
-        recipes = load_recipes()
     minted: dict[str, str] = {}
-    for recipe in recipes:
+    for recipe in load_recipes():
         label, kind = recipe.get("label"), recipe.get("kind")
         if not label or kind not in TYPE_URNS:
             raise BadArguments(f"invalid type recipe: label={label!r} kind={kind!r}")

@@ -7,11 +7,13 @@ request set itself. The kernel never interprets datastream bytes; meaning is
 added by servlet programs resolved through a :class:`~objrepo.typesys.ContentTypeResolver`.
 
 Objects serialize to a canonical, digest-carrying JSON manifest so replicas
-can be compared byte-for-byte across repositories. Reading one back checks
-the digest first, then the :mod:`objrepo.shape` schema of the manifest and
-the bindings it shares with requests. A repository stores an object as a
-storage record: the same document with the SHA-256 of each large stream in
-place of its body, whose bytes are kept apart under that hash.
+can be compared byte-for-byte across repositories. A repository stores an
+object as a storage record: the same document with the SHA-256 of each large
+stream in place of its body, whose bytes are kept apart under that hash.
+Both are read back by one rule: the :mod:`objrepo.shape` schema of the
+document builds an object, checking the bindings it shares with requests,
+and the document is accepted only if that object re-encodes to its very
+bytes. The digest is checked only for a document so refused.
 """
 
 from __future__ import annotations
@@ -395,7 +397,7 @@ class DigitalObjectKernel:
 
     def _manifest_dict(self) -> dict:
         """The manifest document with empty ``digest`` and ``content_b64``
-        slots; :func:`_canonical_parts` splices the stream bodies in."""
+        slots; :meth:`_encode` splices the stream bodies in."""
         return {
             "access_managers": self._access_manager_entries(),
             "datastreams": [
@@ -419,13 +421,7 @@ class DigitalObjectKernel:
 
     def serialize(self) -> bytes:
         """Canonical manifest bytes; deterministic for a given object state."""
-        if self.name is None:
-            raise UndepositedObject("object has no name yet; deposit it first")
-        # Never None here: every other string value in a manifest sits
-        # under a fixed key, so the skeleton has exactly one slot per stream.
-        return _sealed(_canonical_parts(
-            self._manifest_dict(), [base64.b64encode(ds.content) for ds in self.datastreams]
-        ))
+        return self._encode(MANIFEST_VERSION, ())
 
     def blobs(self) -> dict[str, bytes]:
         """{SHA-256: body} of the streams a storage record names by hash."""
@@ -435,17 +431,42 @@ class DigitalObjectKernel:
     def storage_record(self) -> bytes:
         """The manifest document with the SHA-256 of each of :meth:`blobs`
         in place of its body, sealed the same way with a digest of its own."""
+        return self._encode(RECORD_VERSION, self.blobs())
+
+    def _encode(self, version: str, apart) -> bytes:
+        """The canonical ``version`` document of this object, each stream
+        whose SHA-256 is in ``apart`` named by that hash, with the empty
+        ``digest`` slot holding the SHA-256 of the whole.
+
+        Only the few hundred bytes of the skeleton go through ``json.dumps``;
+        base64 needs no JSON escaping, so each body is spliced into its empty
+        ``content_b64`` slot verbatim. Every other string value sits under a
+        fixed key, so the skeleton has exactly one slot per inline body.
+        "digest" sorts after "access_managers" and "datastreams", whose
+        values hold no ``"digest":""``, so the first such slot in the last
+        part is the document's own.
+        """
         if self.name is None:
             raise UndepositedObject("object has no name yet; deposit it first")
-        doc = dict(self._manifest_dict(), version=RECORD_VERSION)
-        apart, inline = self.blobs(), []
+        doc = dict(self._manifest_dict(), version=version)
+        inline = []
         for entry, ds in zip(doc["datastreams"], self.datastreams):
             if ds.sha256 in apart:
                 del entry["content_b64"]
                 entry["sha256"] = ds.sha256
             else:
                 inline.append(base64.b64encode(ds.content))
-        return _sealed(_canonical_parts(doc, inline))
+        pieces = canonical_bytes(doc).split(b'"content_b64":""')
+        parts = [pieces[0]]
+        for b64, piece in zip(inline, pieces[1:]):
+            parts += (b'"content_b64":"', b64, b'"' + piece)
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        parts[-1] = parts[-1].replace(
+            b'"digest":""', b'"digest":"%s"' % digest.hexdigest().encode("ascii"), 1
+        )
+        return b"".join(parts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalObjectKernel):
@@ -453,64 +474,6 @@ class DigitalObjectKernel:
         return self._manifest_dict() == other._manifest_dict() and all(
             a.content == b.content for a, b in zip(self.datastreams, other.datastreams)
         )
-
-
-_B64_SLOT = b'"content_b64":""'
-_DIGEST_SLOT = b'"digest":""'
-_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
-
-
-def _canonical_parts(skeleton: dict, b64s: list[bytes]) -> list[bytes] | None:
-    """``canonical_bytes`` of ``skeleton`` with the i-th ``content_b64`` slot
-    holding ``b64s[i]``, as parts whose concatenation is that encoding.
-
-    Only the few hundred bytes of the skeleton go through ``json.dumps``;
-    base64 needs no JSON escaping, so each body is spliced in verbatim.
-    Returns None when the encoded skeleton does not hold exactly one empty
-    ``content_b64`` slot per body.
-    """
-    pieces = canonical_bytes(skeleton).split(_B64_SLOT)
-    if len(pieces) != len(b64s) + 1:
-        return None
-    parts = [pieces[0]]
-    for b64, piece in zip(b64s, pieces[1:]):
-        parts += (b'"content_b64":"', b64, b'"' + piece)
-    return parts
-
-
-def _sha256_hex(parts: list[bytes]) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-    return digest.hexdigest()
-
-
-def _sealed(parts: list[bytes]) -> bytes:
-    """``parts`` joined, with the empty ``digest`` slot holding the SHA-256
-    of the whole. "digest" sorts after "access_managers" and "datastreams",
-    whose values hold no ``"digest":""``, so the first slot in the last part
-    is the document's own."""
-    parts[-1] = parts[-1].replace(
-        _DIGEST_SLOT, b'"digest":"%s"' % _sha256_hex(parts).encode("ascii"), 1
-    )
-    return b"".join(parts)
-
-
-def _expected_digest(doc: dict) -> str:
-    """``sha256_hex(canonical_bytes(dict(doc, digest="")))``, without
-    re-encoding stream bodies that are ASCII base64 text."""
-    streams = doc.get("datastreams")
-    if isinstance(streams, list) and all(
-        isinstance(e, dict) and isinstance(e.get("content_b64"), str) and e["content_b64"].isascii()
-        for e in streams
-    ):
-        b64s = [e["content_b64"].encode("ascii") for e in streams]
-        if not any(b.translate(None, _B64_ALPHABET) for b in b64s):
-            skeleton = dict(doc, digest="", datastreams=[dict(e, content_b64="") for e in streams])
-            parts = _canonical_parts(skeleton, b64s)
-            if parts is not None:
-                return _sha256_hex(parts)
-    return sha256_hex(canonical_bytes(dict(doc, digest="")))
 
 
 def _base64(value) -> bytes:
@@ -606,13 +569,14 @@ _SHA256 = shape.matches(re.compile(r"[0-9a-f]{64}\Z"), "must be a SHA-256 in hex
 
 def _check_digest(doc, what: str) -> None:
     """``doc`` carries its digest: that of its canonical form with an empty
-    digest. It is checked before the shape so that corruption is always
-    reported as DIGEST_MISMATCH when the document still parses as JSON."""
+    digest. :func:`_decode` checks it only for a document it refuses, and
+    before the refusal is raised, so that corruption is always reported as
+    DIGEST_MISMATCH when the document still parses as JSON."""
     digest = doc.get("digest") if isinstance(doc, dict) else None
     if not isinstance(digest, str):
         raise MalformedManifest(f"{what}: missing digest")
     try:
-        expected = _expected_digest(doc)
+        expected = sha256_hex(canonical_bytes(dict(doc, digest="")))
     except (UnicodeEncodeError, RecursionError):
         # No canonical form: a lone surrogate has no UTF-8 encoding, and a
         # document may nest deeper than json.dumps recurses.
@@ -621,23 +585,32 @@ def _check_digest(doc, what: str) -> None:
         raise DigestMismatch(f"{what} digest does not verify")
 
 
-def deserialize_object(data: bytes) -> DigitalObjectKernel:
-    """Parse and verify a canonical manifest: its digest, its shape, and that
-    it is the manifest of the object it describes, byte for byte."""
-    doc = shape.load(data, MalformedManifest, "manifest")
-    _check_digest(doc, "manifest")
-    obj = shape.check(_MANIFEST, doc, MalformedManifest, "manifest")
-    if obj.serialize() != data:
-        raise MalformedManifest("manifest is not in canonical form")
+def _decode(data: bytes, schema: shape.Check, what: str, encode) -> DigitalObjectKernel:
+    """The object ``schema`` builds from the document ``data``, accepted
+    only if ``encode`` turns it back into ``data`` byte for byte, which
+    proves its digest as well. A document refused for its shape, for a
+    stream body it names, or for not being that encoding is refused for its
+    digest instead when that does not verify."""
+    doc = shape.load(data, MalformedManifest, what)
+    try:
+        obj = shape.check(schema, doc, MalformedManifest, what)
+        if encode(obj) != data:
+            raise MalformedManifest(f"{what} is not in canonical form")
+    except (MalformedManifest, DigestMismatch, UnicodeEncodeError):
+        _check_digest(doc, what)
+        raise
     return obj
+
+
+def deserialize_object(data: bytes) -> DigitalObjectKernel:
+    """The object a canonical manifest describes: one that serializes to it."""
+    return _decode(data, _MANIFEST, "manifest", DigitalObjectKernel.serialize)
 
 
 def load_record(data: bytes, blob) -> DigitalObjectKernel:
     """The object a :meth:`~DigitalObjectKernel.storage_record` describes,
-    once its digest and shape verify, the body of each stream named by hash
-    read by ``blob(sha256)``."""
-    doc = shape.load(data, MalformedManifest, "record")
-    _check_digest(doc, "record")
+    the body of each stream named by hash read by ``blob(sha256)``; like a
+    manifest, a record is taken only if it is that object's own record."""
 
     def stream(id, mime, content_b64=None, sha256=None):
         if (content_b64 is None) == (sha256 is None):
@@ -653,4 +626,5 @@ def load_record(data: bytes, blob) -> DigitalObjectKernel:
         content_b64=shape.optional(_base64),
         sha256=shape.optional(_SHA256),
     )
-    return shape.check(_document(RECORD_VERSION, streams), doc, MalformedManifest, "record")
+    schema = _document(RECORD_VERSION, streams)
+    return _decode(data, schema, "record", DigitalObjectKernel.storage_record)

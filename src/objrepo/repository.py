@@ -232,7 +232,7 @@ class ObjectStore:
 
 #: how every manifest ``serialize`` writes ends: "version" is its last key
 _MANIFEST_END = b'"version":"%s"}' % MANIFEST_VERSION.encode("ascii")
-_BLOB_REF = re.compile(rb'"sha256":"([0-9a-f]{64})"')
+_BLOB_REF = re.compile(rb'"sha256"\s*:\s*"([0-9a-f]{64})"')
 
 
 class Repository:
@@ -244,12 +244,12 @@ class Repository:
     type resolution and manifest transfer.
     """
 
-    def __init__(self, config: RepositoryConfig, naming, client_factory, resolver=None):
+    def __init__(self, config: RepositoryConfig, naming, client_factory):
         self.config = config
         self.endpoint = config.listen_endpoint
         self.naming = naming
         self.client_factory = client_factory
-        self.resolver = resolver or ContentTypeResolver(naming, client_factory)
+        self.resolver = ContentTypeResolver(naming, client_factory)
         self.store = ObjectStore(config.storage_root)
         self._objects = self.store.load_all()
         self._staged: dict[str, DigitalObjectKernel] = {}

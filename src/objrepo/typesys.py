@@ -658,8 +658,8 @@ class ContentTypeResolver:
     def __init__(self, naming, client_factory):
         self._naming = naming
         self._client_factory = client_factory
+        # (type URN, URN) -> the parsed document, or the Future of its fetch under way
         self._cache: dict[tuple[str, str], object] = {}
-        self._flights: dict[tuple[str, str], Future] = {}  # lookups under way
         self._lock = threading.Lock()
         self.fetch_count = 0  # network attempts; exposed for tests
 
@@ -684,26 +684,22 @@ class ContentTypeResolver:
         its failure, which is not cached."""
         key = (type_urn, urn)
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            flight = self._flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = self._flights[key] = Future()
-        if not leader:
-            return flight.result()
+            entry = self._cache.get(key)
+            if entry is None:
+                flight = self._cache[key] = Future()
+        if entry is not None:
+            return entry.result() if isinstance(entry, Future) else entry
         try:
             row = BUILTIN_TYPES[type_urn]
             doc = row.parse(self._fetch(urn, type_urn, row.methods[0]))
         except BaseException as exc:
             with self._lock:
-                del self._flights[key]
+                if self._cache.get(key) is flight:
+                    del self._cache[key]
             flight.set_exception(exc)
             raise
         with self._lock:
             self._cache[key] = doc
-            del self._flights[key]
         flight.set_result(doc)
         return doc
 

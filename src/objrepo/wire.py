@@ -258,9 +258,7 @@ def _split_endpoint(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def serve_repository(
-    config: RepositoryConfig, naming=None, client_factory=None
-) -> tuple[WireServer, Repository]:
+def serve_repository(config: RepositoryConfig) -> tuple[WireServer, Repository]:
     """Bind and start a repository server.
 
     A listen port of 0 picks a free port; the repository then uses the bound
@@ -269,11 +267,7 @@ def serve_repository(
     host, port = _split_endpoint(config.listen_endpoint)
     server = WireServer(host, port, REPOSITORY_ROUTES, None)
     config = replace(config, listen_endpoint=server.endpoint)
-    if naming is None:
-        naming = NamingClient(config.naming_endpoint)
-    if client_factory is None:
-        client_factory = RepositoryClient
-    repo = Repository(config, naming, client_factory)
+    repo = Repository(config, NamingClient(config.naming_endpoint), RepositoryClient)
     server.context = repo
     server.start()
     return server, repo

@@ -1,5 +1,5 @@
 """Canonical manifests: byte identity with the documented form, a pinned
-digest, and hostile input against the digest check."""
+digest, and hostile manifests and storage records against the digest check."""
 
 from __future__ import annotations
 
@@ -16,11 +16,13 @@ from conftest import make_wire_federation, probe
 from objrepo.canonical import canonical_bytes, sha256_hex
 from objrepo.errors import DigestMismatch, MalformedManifest
 from objrepo.kernel import (
+    BLOB_MIN_BYTES,
     AccessManager,
     DigitalObjectKernel,
     Disseminator,
     DisseminatorKind,
     deserialize_object,
+    load_record,
 )
 from objrepo.repository import Repository, RepositoryConfig
 from objrepo.typesys import BUILTIN_TYPES
@@ -174,12 +176,24 @@ def test_serialize_is_the_documented_form(spec):
 
 # -- hostile manifests ------------------------------------------------------------
 
-BASES = [
-    build(FIXED_SPEC).serialize(),
-    build(dict(FIXED_SPEC, streams=FIXED_SPEC["streams"][:1], disseminators=[], primitive=None))
-    .serialize(),
-    build(dict(FIXED_SPEC, streams=[], disseminators=[], primitive=None)).serialize(),
+BASE_OBJECTS = [
+    build(FIXED_SPEC),
+    build(dict(FIXED_SPEC, streams=FIXED_SPEC["streams"][:1], disseminators=[], primitive=None)),
+    build(dict(FIXED_SPEC, streams=[], disseminators=[], primitive=None)),
+    # a storage record names its large body by hash
+    build(dict(FIXED_SPEC, streams=[("image/gif", b"GIF89a".ljust(BLOB_MIN_BYTES, b"."))],
+               disseminators=[], primitive=None)),
 ]
+BASES = [obj.serialize() for obj in BASE_OBJECTS]
+RECORDS = [obj.storage_record() for obj in BASE_OBJECTS]
+_BLOBS = {sha256: body for obj in BASE_OBJECTS for sha256, body in obj.blobs().items()}
+
+
+def _blob(sha256: str) -> bytes:
+    if sha256 not in _BLOBS:
+        raise DigestMismatch(f"blob {sha256} is missing")
+    return _BLOBS[sha256]
+
 
 _ODD_VALUES = st.sampled_from([None, True, False, 0, 1, -1, 1.5, "", "x", [], {}, [""], {"": ""}])
 _B64_INTRUDERS = st.sampled_from(
@@ -208,8 +222,9 @@ def _bindings_dicts(doc: dict) -> list:
 def mutate_json(draw, doc: dict) -> None:
     what = draw(st.sampled_from(["retype", "b64", "b64", "b64", "slot", "extra"]))
     streams = [e for e in doc.get("datastreams", []) if isinstance(e, dict)]
-    if what == "b64" and streams:
-        entry = draw(st.sampled_from(streams))
+    inline = [e for e in streams if "content_b64" in e]
+    if what == "b64" and inline:
+        entry = draw(st.sampled_from(inline))
         if draw(st.booleans()):
             entry["content_b64"] = draw(_ODD_VALUES.filter(lambda v: not isinstance(v, str)))
         else:
@@ -231,8 +246,8 @@ def mutate_json(draw, doc: dict) -> None:
 
 
 @st.composite
-def hostile_manifests(draw) -> bytes:
-    base = draw(st.sampled_from(BASES))
+def hostile_manifests(draw, bases=BASES) -> bytes:
+    base = draw(st.sampled_from(bases))
     level = draw(st.sampled_from(["flip", "truncate", "insert", "json", "json", "json"]))
     at = draw(st.integers(0, len(base) - 1))
     if level == "flip":
@@ -254,9 +269,19 @@ def _tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
+#: what the hostile documents are made from, and what reads them back
+DECODERS = {
+    "manifest": (BASES, deserialize_object),
+    "record": (RECORDS, lambda data: load_record(data, _blob)),
+}
+
+
+@pytest.mark.parametrize("case", DECODERS)
 @settings(max_examples=200)
-@given(hostile_manifests())
-def test_hostile_manifest_verdicts(data):
+@given(st.data())
+def test_hostile_manifest_verdicts(case, draws):
+    bases, decode = DECODERS[case]
+    data = draws.draw(hostile_manifests(bases))
     try:
         doc = json.loads(data.decode("utf-8"))
     except ValueError:
@@ -269,7 +294,7 @@ def test_hostile_manifest_verdicts(data):
             pass
 
     try:
-        deserialize_object(data)
+        decode(data)
         raised = None
     except (MalformedManifest, DigestMismatch) as exc:
         raised = type(exc)
@@ -277,6 +302,8 @@ def test_hostile_manifest_verdicts(data):
         assert raised is MalformedManifest
     else:
         assert (raised is DigestMismatch) == (expected != doc["digest"])
+    if case == "record":
+        return
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -290,7 +317,6 @@ def test_hostile_manifest_verdicts(data):
             repo.receive_manifest(data)
         except (MalformedManifest, DigestMismatch):
             assert _tree(root) == before
-
 
 
 def test_hostile_manifests_over_the_wire(tmp_path):

@@ -377,6 +377,21 @@ def test_a_corrupt_record_is_quarantined(tmp_path):
     assert reborn.store.read_bytes(good) == repo.store.read_bytes(good)
 
 
+def test_a_record_that_is_not_its_objects_encoding_is_quarantined_with_its_blob(tmp_path):
+    fed = make_federation(tmp_path)
+    good, bad = build_marc_object(fed), build_marc_object(fed)
+    repo = fed.repos[0]
+    ds = repo.run(bad, "create_datastream", "text/plain", large(b"only the bad record names this"))
+    blob = blob_of(repo, bad, ds)
+    path = repo.store.path_for(bad)
+    # the same document, so its digest still verifies, in other bytes
+    path.write_bytes(json.dumps(json.loads(path.read_bytes()), indent=1).encode())
+    reborn = restart_repo(fed, 0)
+    assert reborn.contains(good) and not reborn.contains(bad)
+    assert quarantined(reborn) == sorted([path.name, blob.name])
+    assert reborn.run(good, "get_datastream_content", "DS1")[1] == MARC_FIXTURE
+
+
 def stored_blobs(repo: Repository) -> set[str]:
     return {p.name for p in repo.store.blobs_dir.iterdir()}
 
