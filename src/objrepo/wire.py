@@ -11,6 +11,9 @@ operation's ``body_shape``.
 
 from __future__ import annotations
 
+import contextlib
+import email.utils
+import functools
 import http.client
 import json
 import logging
@@ -23,7 +26,6 @@ import time
 import urllib.parse
 from dataclasses import replace
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import errors, shape
 from .api import DEFAULT_PRINCIPAL, NAMING_OPS, RAW, REPOSITORY_OPS, Op, derive
@@ -87,9 +89,9 @@ def _decode(op: Op, match, body: bytes, headers, query: dict) -> dict:
         elif arg.where == "raw":
             value = body
         elif arg.where == "content-type":
-            value = headers.get("Content-Type")
+            value = headers.get("content-type")
         else:  # x-principal
-            value = headers.get("X-Principal") or DEFAULT_PRINCIPAL
+            value = headers.get("x-principal") or DEFAULT_PRINCIPAL
         values[arg.name] = value
     return values
 
@@ -98,63 +100,131 @@ def _envelope(exc: ObjectRepositoryError) -> tuple[int, str, bytes]:
     return _json({"error": exc.code, "detail": str(exc)}, errors.http_status(exc.code))
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "objrepo"
-    # Connections persist, so a reply must not wait for the client's ACK of
-    # the headers before its body goes out (Nagle against delayed ACK).
-    disable_nagle_algorithm = True
+#: the longest request line or header line, and the most header lines, a request may have
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+#: the request headers the protocol reads; every other one is skipped
+_HEADERS_READ = {"content-length", "content-type", "x-principal", "connection", "transfer-encoding"}
+_VERBS = {"GET", "POST", "PUT", "DELETE"}
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+
+@functools.lru_cache(maxsize=1)  # formatted once a second
+def _http_date(second: int) -> str:
+    return email.utils.formatdate(second, usegmt=True)
+
+
+class _Handler:
+    """One connection: reads each request on it in turn, dispatches it and
+    sends its reply, until either side closes the connection."""
+
     # Seconds a connection may sit idle (or stall inside a request) before
     # the server closes it and frees its thread.
     timeout = 30.0
 
-    def log_message(self, fmt, *args):
-        log.debug("%s %s", self.address_string(), fmt % args)
+    def __init__(self, server: "WireServer", connection: socket.socket):
+        self.server = server
+        self.connection = connection
+        self.close_connection = False
+        self.command = self.path = ""
 
-    def send_error(self, code, message=None, explain=None):
-        """Answer what the stdlib parser refused (bad request line or
-        headers, unknown verb) with the error envelope, then close."""
-        self.close_connection = True
-        if code == HTTPStatus.NOT_IMPLEMENTED:  # no do_<verb> method
-            path = urllib.parse.urlsplit(self.path).path
-            exc = NotFound(f"no route {self.command} {path}")
+    def handle(self) -> None:
+        self.connection.settimeout(self.timeout)
+        # Connections persist, so a reply must not wait for the client's ACK
+        # of the segment before it (Nagle against delayed ACK).
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self.connection.makefile("rb") as self.rfile:
+            while not self.close_connection:
+                try:
+                    refusal = self._read_head()
+                except (TimeoutError, EOFError):  # idle or stalled too long, or closed
+                    return
+                if refusal is None:
+                    self._dispatch(self.command)
+                else:
+                    self.close_connection = True
+                    self._send(*_envelope(BadArguments(f"malformed request: {refusal}")))
+
+    def _read_head(self) -> str | None:
+        """Read a request line and its headers, keeping those the protocol
+        reads; returns why the request is refused, if it is. Raises EOFError
+        if the connection ends before a whole request line, or sends a blank one."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        words = line.decode("latin-1").split()
+        if len(line) > _MAX_LINE:
+            return "request line too long"
+        if not words or not line.endswith(b"\n"):  # closed before it, or inside it
+            raise EOFError
+        if not 2 <= len(words) <= 3:
+            return f"bad request line {line[:80]!r}"
+        self.headers = headers = {}
+        self.command, self.path, *version = words
+        if version not in ([], ["HTTP/1.0"], ["HTTP/1.1"]):
+            return f"unsupported version {version[0]!r}"
+        if self.command not in _VERBS:  # answered as an unknown path, then closed
+            self.close_connection = True
+        if not version:  # HTTP/0.9: no headers, one reply
+            self.close_connection = True
+            return None
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if len(line) > _MAX_LINE or not colon or not name or name != name.strip():
+                return f"bad header line {line[:80]!r}"
+            name = name.lower()
+            if name in _HEADERS_READ:
+                if name in headers:
+                    return f"repeated {name} header"
+                headers[name] = value.strip()
         else:
-            exc = BadArguments(f"malformed request: {message or self.responses[code][0]}")
-        self.log_error("code %d, message %s", code, message)
-        self._send(*_envelope(exc))
+            return f"more than {_MAX_HEADERS} header lines"
+        options = {option.strip() for option in headers.get("connection", "").lower().split(",")}
+        if "close" in options or (version == ["HTTP/1.0"] and "keep-alive" not in options):
+            self.close_connection = True
+        return None
 
     def _read_body(self) -> bytes:
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             # without Content-Length the body's end is unknown, and a body
             # read as the next request would be a smuggled one
             self.close_connection = True
             raise BadArguments("Transfer-Encoding is not supported; send Content-Length")
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
+        value = self.headers.get("content-length") or "0"
+        length = int(value) if value.isascii() and value.isdigit() else -1  # no sign, no "_"
         if length < 0:
             # the body's end is unknown, so nothing after it can be read
             self.close_connection = True
             raise BadArguments("Content-Length must be a non-negative integer")
         try:
-            return self.rfile.read(length) if length else b""
+            body = self.rfile.read(length) if length else b""
         except TimeoutError:
             # the rest of the body may still come, and must not be read as a request
             self.close_connection = True
             raise BadArguments(f"request body stalled for {self.timeout} s") from None
+        if len(body) < length:  # the client, or stop(), closed the connection mid-body
+            self.close_connection = True
+            raise BadArguments(f"request body ended after {len(body)} of {length} bytes")
+        return body
 
     def _send(self, status: int, mime: str, body: bytes) -> None:
-        # an HTTP/0.9 request line would otherwise get a reply with no status line
-        self.request_version = self.protocol_version
+        """Send one reply: the status line and headers, then the body."""
+        if self.server._stopping:  # the last reply before stop() closes the connection
+            self.close_connection = True
+        head = (
+            f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: objrepo\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\nContent-Type: {mime}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        head = (head + "\r\n").encode("latin-1")
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", mime)
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            if len(body) < 65536:
+                self.connection.sendall(head + body)
+            else:  # a large body is not copied to join it to its head
+                self.connection.sendall(head)
+                self.connection.sendall(body)
         except (BrokenPipeError, ConnectionResetError):  # client went away
             self.close_connection = True
 
@@ -182,75 +252,83 @@ class _Handler(BaseHTTPRequestHandler):
             resp = _json({"error": "INTERNAL", "detail": str(exc)}, 500)
         self._send(*resp)
 
-    def do_GET(self):
-        self._dispatch(self.command)
 
-    do_POST = do_PUT = do_DELETE = do_GET
-
-
-class WireServer(ThreadingHTTPServer):
-    """An embeddable HTTP server. Each connection has a thread of its own for
-    as long as the client keeps it open, so no request waits for another;
-    :meth:`stop` closes them all and waits for their threads."""
-
-    # the listen backlog; at the stdlib's 5, a burst of connects overflows it
-    # and each connect past it waits about a second for the SYN to be resent
-    request_queue_size = 128
+class WireServer:
+    """An embeddable HTTP/1.1 server. Each connection has a thread of its own
+    for as long as the client keeps it open, so no request waits for another;
+    :meth:`stop` drains them."""
 
     def __init__(self, host: str, port: int, routes, context):
-        super().__init__((host, port), _Handler)
+        # the listen backlog; at the stdlib's 5, a burst of connects overflows it
+        # and each connect past it waits about a second for the SYN to be resent
+        self.socket = socket.create_server((host, port), backlog=128)  # with SO_REUSEADDR
+        self.server_address = self.socket.getsockname()[:2]
         self.routes = routes
         self.context = context
         self._thread: threading.Thread | None = None
         self._open: dict[socket.socket, threading.Thread] = {}  # connection -> its handler
+        self._stopping = False
         self._open_lock = threading.Lock()
+
+    def _accept(self) -> None:
+        while not self._stopping:
+            try:
+                self.process_request(*self.socket.accept())
+            except OSError:  # woken by stop(), or a connect aborted before its accept
+                pass
 
     def process_request(self, request, client_address):
         # a daemon, so no client holds the process open; stop() joins it
         thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
+            target=self._serve_connection, args=(request, client_address), daemon=True
         )
         with self._open_lock:
             self._open[request] = thread
         thread.start()
 
+    def _serve_connection(self, request, client_address):
+        try:
+            _Handler(self, request).handle()
+        except Exception:  # noqa: BLE001 - logged by handle_error unless a reset
+            self.handle_error(request, client_address)
+        finally:
+            with self._open_lock:
+                self._open.pop(request, None)
+            request.close()
+
     def handle_error(self, request, client_address):
         if not isinstance(sys.exc_info()[1], ConnectionError):  # a reset is a close
             log.exception("unhandled error on the connection from %s", client_address)
-
-    def shutdown_request(self, request):
-        with self._open_lock:
-            self._open.pop(request, None)
-        super().shutdown_request(request)
 
     @property
     def endpoint(self) -> str:
         return f"{self.server_address[0]}:{self.server_address[1]}"
 
     def start(self) -> "WireServer":
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
+        self._thread = threading.Thread(target=self._accept, daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting and close every open connection, idle ones
-        included, so no pooled client is answered any more. Returns once
-        every handler has ended, or after 5 s."""
-        self.shutdown()
-        with self._open_lock:
-            open_now = dict(self._open)
-        for request in open_now:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:  # already closed by its handler
-                pass
-        self.server_close()
+        """Stop accepting and end every connection's reading: an idle one
+        closes at once, and a request already received runs to its reply,
+        sent with ``Connection: close``. Returns once every handler has
+        ended, or after 5 s. Stopping a stopped server does nothing."""
+        if self._stopping:
+            return
+        self._stopping = True
+        self.socket.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        if self._thread is not None:
+            self._thread.join()
+        self.socket.close()
+        with self._open_lock:  # a handler closes its connection only once it left _open
+            for conn in self._open:
+                with contextlib.suppress(OSError):  # the client has reset it
+                    conn.shutdown(socket.SHUT_RD)  # a blocked read returns, as at a close
+            handlers = list(self._open.values())
         deadline = time.monotonic() + 5
-        for thread in (self._thread, *open_now.values()):
-            if thread is not None:
-                thread.join(max(0.0, deadline - time.monotonic()))
+        for thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 def _split_endpoint(endpoint: str) -> tuple[str, int]:

@@ -7,9 +7,12 @@ import importlib
 import itertools
 import json
 import logging
+import os
 import re
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import urllib.parse
@@ -336,7 +339,22 @@ def _envelope_of(reply: bytes) -> tuple[bytes, dict]:
     return head, json.loads(body)
 
 
-@pytest.mark.parametrize("length", ["abc", "-5"])
+def _read_reply(rfile) -> tuple[int, dict, bytes]:
+    """One reply from a connection's reader: status, headers by lower-cased
+    name, and the body its Content-Length frames."""
+    status = int(rfile.readline().split()[1])
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, rfile.read(int(headers["content-length"]))
+
+
+def _get(path: str, *headers: str, version: str = "HTTP/1.1") -> bytes:
+    return "\r\n".join([f"GET {path} {version}", "Host: x", *headers, "", ""]).encode()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "+5", "1_0"])
 def test_malformed_content_length_gets_envelope_and_close(wire_federation, length):
     request = (
         f"POST /staging HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
@@ -453,6 +471,16 @@ def test_lookup_errors_agree_in_process_and_over_the_wire(wire_federation, tmp_p
     expected = {case: code for cases in LOOKUPS.values() for case, (_, code) in cases.items()}
     assert {key: expected[key[1]] for key in in_process} == in_process
     assert len(in_process) == 4 + 11 * 2  # four handle rows, eleven name rows
+
+
+def test_no_stdlib_http_server_is_imported():
+    """The services serve HTTP themselves: importing the CLI, which starts
+    them, loads neither ``http.server`` nor ``socketserver``."""
+    code = "import sys, objrepo.cli; print(sorted({'http.server', 'socketserver'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_benchmark_trace_boundaries_resolve():
@@ -629,6 +657,129 @@ def test_requests_the_parser_refuses_get_the_envelope(naming_server, request_byt
         assert doc["detail"] == "no route PATCH /names/urn%3Ax%3Ay"
 
 
+def test_pipelined_requests_are_answered_in_order(naming_server):
+    server, service = naming_server
+    service.register("urn:x:first", "a.local:1")
+    service.register("urn:x:second", "b.local:2")
+    host, port = server.endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(_get("/names/urn%3Ax%3Afirst") + _get("/names/urn%3Ax%3Asecond"))
+        with sock.makefile("rb") as rfile:
+            replies = [_read_reply(rfile) for _ in range(2)]
+    assert [(status, json.loads(body)["locations"]) for status, _, body in replies] == [
+        (200, ["a.local:1"]), (200, ["b.local:2"])
+    ]
+    assert all(h["server"] == "objrepo" and h["date"].endswith(" GMT") for _, h, _ in replies)
+
+
+def test_header_names_are_matched_in_any_case(wire_federation):
+    fed = wire_federation
+    body = json.dumps({"location": "a.local:1"}).encode()
+    request = (
+        b"PUT /names/urn%3Ax%3Acase HTTP/1.1\r\nhost: x\r\n"
+        + f"content-length: {len(body)}\r\nconnection: CLOSE\r\n\r\n".encode() + body
+    )
+    assert _raw_exchange(fed.naming_server.endpoint, request).startswith(b"HTTP/1.1 200 ")
+    assert fed.naming_client.resolve("urn:x:case") == ["a.local:1"]
+    name = wire_marc_object(fed)  # readable by alice only
+    query = urllib.parse.urlencode({"type": fed.types["type-dc"], "method": "getDCRecord"})
+    path = f"/objects/{quote(name)}/dissemination?{query}"
+    for principal, status in (("alice", 200), ("mallory", 403)):
+        reply = _raw_exchange(
+            fed.servers[0].endpoint, _get(path, f"x-principal: {principal}", "Connection: close")
+        )
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), principal
+
+
+def test_http_1_0_closes_after_its_reply_unless_kept_alive(naming_server):
+    server, service = naming_server
+    service.register("urn:x:old", "a.local:1")
+    reply = _raw_exchange(server.endpoint, _get("/names/urn%3Ax%3Aold", version="HTTP/1.0"))
+    assert reply.startswith(b"HTTP/1.1 200 ") and b"Connection: close" in reply
+    host, port = server.endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        with sock.makefile("rb") as rfile:
+            for _ in range(2):
+                sock.sendall(
+                    _get("/names/urn%3Ax%3Aold", "Connection: keep-alive", version="HTTP/1.0")
+                )
+                status, headers, _ = _read_reply(rfile)
+                assert status == 200 and "connection" not in headers
+
+
+def test_connection_close_is_honoured(naming_server):
+    reply = _raw_exchange(naming_server[0].endpoint, _get("/names/urn%3Ax%3Ay", "Connection: close"))
+    head, doc = _envelope_of(reply)  # read to the server's close
+    assert head.startswith(b"HTTP/1.1 404 ") and b"Connection: close" in head
+    assert doc["error"] == "NOT_REGISTERED"
+
+
+def test_a_header_line_without_a_colon_gets_the_envelope_and_close(naming_server):
+    reply = _raw_exchange(naming_server[0].endpoint, _get("/names/urn%3Ax%3Ay", "No colon here"))
+    head, doc = _envelope_of(reply)
+    assert head.startswith(b"HTTP/1.1 400 ") and b"Connection: close" in head
+    assert doc["error"] == "BAD_ARGUMENTS"
+
+
+def test_a_request_sent_one_byte_at_a_time_is_answered(naming_server):
+    server, service = naming_server
+    body = json.dumps({"location": "a.local:1"}).encode()
+    request = (
+        b"PUT /names/urn%3Ax%3Atrickle HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+    )
+    host, port = server.endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(len(request)):
+            sock.send(request[i : i + 1])
+        with sock.makefile("rb") as rfile:
+            assert _read_reply(rfile)[0] == 200
+    assert service.resolve("urn:x:trickle") == ["a.local:1"]
+
+
+@pytest.mark.parametrize(
+    "sent, reply_starts",
+    [
+        (b"DELETE /names/urn%3Ax%3Acut/locations/a.local%3A1", b""),
+        (b"POST /names/urn%3Ax%3Acut/locations HTTP/1.1\r\nHost: x\r\nContent-Length: 40\r\n\r\n"
+         b'{"location": "b.local:2"}', b"HTTP/1.1 400 "),
+    ],
+    ids=["inside-request-line", "inside-body"],
+)
+def test_a_request_cut_off_by_the_clients_close_is_not_run(naming_server, sent, reply_starts):
+    server, service = naming_server
+    service.register("urn:x:cut", "a.local:1")
+    host, port = server.endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(sent)
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as rfile:
+            assert rfile.read().startswith(reply_starts)
+    assert service.resolve("urn:x:cut") == ["a.local:1"]
+
+
+def test_16_mib_stream_round_trip_on_one_connection(wire_federation):
+    payload = bytes(range(256)) * (16 * 4096)
+    host, port = wire_federation.servers[0].endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        with sock.makefile("rb") as rfile:
+
+            def call(method, path, body=b"", *headers):
+                head = [f"{method} {path} HTTP/1.1", "Host: x", *headers,
+                        f"Content-Length: {len(body)}", "", ""]
+                sock.sendall("\r\n".join(head).encode() + body)
+                status, reply_headers, reply = _read_reply(rfile)
+                assert status == 200 and "connection" not in reply_headers, reply[:200]
+                return reply
+
+            handle = json.loads(call("POST", "/staging"))["handle"]
+            ds = json.loads(call("POST", f"/staging/{handle}/datastreams", payload,
+                                 "Content-Type: application/octet-stream"))["id"]
+            name = json.loads(call("POST", f"/staging/{handle}/deposit"))["name"]
+            assert call("GET", f"/objects/{quote(name)}/datastreams/{ds}") == payload
+
+
 class _CountingServer(WireServer):
     def __init__(self, *args):
         super().__init__(*args)
@@ -730,12 +881,10 @@ def test_stop_returns_once_a_call_in_progress_has_finished(naming_server, monkey
         finished.set()
 
     monkeypatch.setattr(service, "register", slow_register)
+    returned = []
 
     def call():
-        try:
-            NamingClient(server.endpoint).register("urn:x:slow", "a.local:1")
-        except NamingUnavailable:  # stop() closes the connection before the reply
-            pass
+        returned.append(NamingClient(server.endpoint).register("urn:x:slow", "a.local:1"))
 
     caller = threading.Thread(target=call)
     caller.start()
@@ -744,6 +893,7 @@ def test_stop_returns_once_a_call_in_progress_has_finished(naming_server, monkey
     assert finished.is_set()
     caller.join(5)
     assert not caller.is_alive()
+    assert returned == [None]  # the reply was sent before the connection closed
 
 
 def test_a_burst_of_connects_is_not_held_back(naming_server):
