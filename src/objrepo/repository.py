@@ -1,12 +1,11 @@
 """The management layer: persistent object store and lifecycle operations.
 
-A repository stages empty objects, seals them with a minted URN at deposit,
-registers the name with the naming service, and thereafter serves structural
-and gateway requests against the stored object. Replication and migration
-ship the canonical manifest to a peer repository and adjust the name's
-location set; migration is deliberately multi-phase and never leaves a name
-without at least one serving location, though a crash between phases can
-briefly leave it at two.
+A repository stages empty objects, stores each at deposit under a minted
+URN, then registers the name with the naming service, and thereafter serves
+structural and gateway requests against the stored object. Replication ships
+the canonical manifest to a peer repository and adds the peer to the name's
+locations; migration is a replication, then a delete, so it never leaves a
+name without a serving location, though a crash in between can leave it two.
 
 Every structural and gateway request, one row of ``kernel.PRIMITIVES``,
 runs through :meth:`Repository.run`. Each object is served as a published
@@ -38,7 +37,6 @@ from .errors import (
     BadArguments,
     DigestMismatch,
     MalformedManifest,
-    NamingUnavailable,
     NoSuchHandle,
     NoSuchLocation,
     NoSuchObject,
@@ -257,7 +255,9 @@ class Repository:
         # and a newcomer always share the same lock.
         self._locks = weakref.WeakValueDictionary()
         self._guard = threading.Lock()
-        #: test seam: called with a phase-boundary label during replicate/move
+        #: test seam: called with "<operation>:<phase>" before a lifecycle operation's
+        #: first effect (a store write, naming update or peer transfer) and between
+        #: each two; one that raises stands in for a crash there (docs/protocol.md)
         self.fault_hook = None
 
     # -- internals --------------------------------------------------------
@@ -285,6 +285,27 @@ class Repository:
         if self.fault_hook is not None:
             self.fault_hook(point)
 
+    def _admit(self, obj: DigitalObjectKernel, point: str) -> None:
+        """Store ``obj``, then serve it, unless its name is held here already.
+        That is checked before the object's lock is taken as well, so a move
+        to this repository's own server, under another name for its
+        endpoint, is refused at once instead of waiting on the move's lock."""
+        if not self.contains(obj.name):
+            with self._lock_for(obj.name):
+                if not self.contains(obj.name):
+                    self._fault(point)
+                    self.store.save(obj)
+                    with self._guard:
+                        self._objects[obj.name] = obj
+                    return
+        raise AlreadyPresent(f"{obj.name} is already at {self.endpoint}")
+
+    def _drop(self, name: str) -> None:
+        """Unlink the object's record, then stop serving it."""
+        self.store.delete(name)
+        with self._guard:
+            self._objects.pop(name, None)
+
     # -- lifecycle ----------------------------------------------------------
 
     def create_object(self) -> str:
@@ -295,24 +316,20 @@ class Repository:
         return handle
 
     def deposit(self, handle: str) -> str:
-        """Seal a staged object with a minted URN, persist it, and register
-        the name. A naming failure aborts atomically: the object stays
-        staged and unnamed."""
+        """Seal a staged object with a minted URN: store it, register the
+        name, then unstage it. If the register fails, the stored record is
+        dropped and the object stays staged and unnamed."""
         with self._lock_for(handle):
             name = f"urn:{self.config.urn_namespace}:{uuid.uuid4()}"
             obj = replace(self._version(handle, staged=True), name=name)
-            self.naming.register(name, self.endpoint)
+            self._admit(obj, "deposit:before-store")
+            self._fault("deposit:after-store")
             try:
-                self.store.save(obj)
+                self.naming.register(name, self.endpoint)
             except Exception:
-                # undo the registration so the aborted deposit leaves no trace
-                try:
-                    self.naming.remove_location(name, self.endpoint)
-                except (NamingUnavailable, NotRegistered, NoSuchLocation):
-                    log.warning("could not undo naming registration for %s", name)
+                self._drop(name)
                 raise
             with self._guard:
-                self._objects[name] = obj
                 del self._staged[handle]
             return name
 
@@ -357,18 +374,19 @@ class Repository:
             return sorted(self._objects)
 
     def delete(self, name: str) -> None:
-        """Remove the object and its naming registration. Fails closed: if
-        the naming service is unavailable nothing is deleted."""
+        """Remove this repository's location of the name, then the object.
+        Fails closed: if the naming service is unavailable nothing is
+        deleted. A location someone else removed already is not an error."""
         shape.check(shape.URN, name, BadArguments, "name")
         with self._lock_for(name):
             self._version(name)
+            self._fault("delete:before-unregister")
             try:
                 self.naming.remove_location(name, self.endpoint)
             except (NotRegistered, NoSuchLocation):
                 pass  # stale registration; still remove the local copy
-            self.store.delete(name)
-            with self._guard:
-                del self._objects[name]
+            self._fault("delete:after-unregister")
+            self._drop(name)
 
     def replicate(self, name: str, target: str) -> None:
         """Copy the manifest to a peer and add it as a resolve location.
@@ -388,41 +406,21 @@ class Repository:
         self.naming.add_location(name, target)
 
     def move(self, name: str, target: str) -> None:
-        """Migrate to a peer: copy manifest, add target location, drop the
-        source location, then delete locally. A fault between phases leaves
-        the name resolvable at one location or two, never at none. Writes of
-        the object wait until the move ends, so none is answered and then
-        left behind."""
-        shape.check(shape.URN, name, BadArguments, "name")
-        shape.check(shape.ENDPOINT, target, BadArguments, "target")
-        if target == self.endpoint:
-            raise AlreadyPresent(f"{name} is already at {target}")
+        """Migrate to a peer: :meth:`replicate`, then :meth:`delete`, so a
+        fault between phases leaves the name resolvable at one location or
+        two, never at none. Writes of the object wait until the move ends,
+        so none is answered and then left behind."""
         with self._lock_for(name):
-            manifest = self._version(name).serialize()
-            self._fault("move:before-copy")
-            self.client_factory(target).receive_manifest(manifest)
-            self._fault("move:after-copy")
-            self.naming.add_location(name, target)
-            self._fault("move:after-naming-add")
-            self.naming.remove_location(name, self.endpoint)
-            self._fault("move:after-naming-remove")
-            self.store.delete(name)
-            with self._guard:
-                self._objects.pop(name, None)
+            self.replicate(name, target)
+            self.delete(name)
 
     def receive_manifest(self, manifest: bytes) -> str:
         """Inter-repository transfer target: verify, then persist. Only a
         canonical manifest is taken, so the replica serializes to the very
         bytes it was sent and replica digests stay byte-identical."""
         obj = deserialize_object(manifest)
-        name = obj.name
-        with self._lock_for(name):
-            if self.contains(name):
-                raise AlreadyPresent(f"{name} is already at {self.endpoint}")
-            self.store.save(obj)
-            with self._guard:
-                self._objects[name] = obj
-        return name
+        self._admit(obj, "receive_manifest:before-store")
+        return obj.name
 
 
 # ---------------------------------------------------------------------------

@@ -458,9 +458,10 @@ class _BaseClient:
             pool[self.endpoint] = conn
         if resp.status >= 400:
             try:
-                doc = json.loads(data)
-                code, detail = doc["error"], doc.get("detail", "")
-            except (ValueError, KeyError, TypeError):
+                doc = shape.load(data, ValueError, "error reply")
+                code = shape.check(shape.NON_EMPTY, doc["error"], ValueError, "error code")
+                detail = doc.get("detail", "")
+            except (ValueError, KeyError, TypeError):  # not an error envelope
                 code, detail = "INTERNAL", data.decode("utf-8", "replace")
             raise errors.from_code(code, detail)
         return resp.getheader("Content-Type", ""), data

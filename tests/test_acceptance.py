@@ -276,8 +276,8 @@ def test_c5_federation_invariants(tmp_path):
     quiescent_checks(fed)
 
     # Single fault injection at every phase boundary of move: never lost.
-    points = ["move:before-copy", "move:after-copy", "move:after-naming-add",
-              "move:after-naming-remove"]
+    points = ["replicate:before-transfer", "replicate:after-transfer",
+              "delete:before-unregister", "delete:after-unregister"]
     for i, point in enumerate(points):
         name = build_marc_object(fed, repo_index=0, acl=None, marc=unique_marc(1000 + i))
         source, target = fed.repos[0], fed.repos[1]

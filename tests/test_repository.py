@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import json
+import shutil
 import sys
 import threading
 import time
@@ -33,7 +34,7 @@ from objrepo.errors import (
 )
 from objrepo.kernel import BLOB_MIN_BYTES, PRIMITIVE_TARGET, DigitalObjectKernel, deserialize_object
 from objrepo.naming import NamingService, load_naming_config
-from objrepo.repository import Repository, RepositoryConfig, load_repository_config
+from objrepo.repository import ObjectStore, Repository, RepositoryConfig, load_repository_config
 
 
 class InjectedFault(Exception):
@@ -97,13 +98,35 @@ def test_deposit_aborts_atomically_when_naming_down(federation):
     handle = repo.create_object()
     federation.client().add_datastream(handle, "text/plain", b"payload")
     names = repo.names()
+    records = sorted(repo.store.objects_dir.iterdir())
     federation.naming.down = True
     with pytest.raises(NamingUnavailable):
         repo.deposit(handle)
     assert repo.run(handle, "get_datastreams", staged=True)  # still staged ...
     assert repo.names() == names  # ... and unnamed
+    assert sorted(repo.store.objects_dir.iterdir()) == records  # the stored record is dropped
     federation.naming.down = False
     name = repo.deposit(handle)
+    assert federation.naming.resolve(name) == [repo.endpoint]
+
+
+def test_deposit_stores_the_record_before_it_registers_the_name(federation, monkeypatch):
+    """A crash between the two then leaves an unnamed record, never a name
+    with nothing stored."""
+    repo = federation.repos[0]
+    save = repo.store.save
+    registered_at_save = []
+
+    def save_and_look(obj):
+        try:
+            registered_at_save.append(federation.naming.resolve(obj.name))
+        except NotRegistered:
+            registered_at_save.append(None)
+        save(obj)
+
+    monkeypatch.setattr(repo.store, "save", save_and_look)
+    name = repo.deposit(repo.create_object())
+    assert registered_at_save == [None]
     assert federation.naming.resolve(name) == [repo.endpoint]
 
 
@@ -243,9 +266,16 @@ def test_move_unknown_name(federation):
         federation.repos[0].move("urn:test:who", "other.local:80")
 
 
+# A move is a replicate, then a delete: each id names a boundary of the move,
+# each value the label that fires there.
 @pytest.mark.parametrize(
     "point",
-    ["move:before-copy", "move:after-copy", "move:after-naming-add", "move:after-naming-remove"],
+    [
+        pytest.param("replicate:before-transfer", id="move:before-copy"),
+        pytest.param("replicate:after-transfer", id="move:after-copy"),
+        pytest.param("delete:before-unregister", id="move:after-naming-add"),
+        pytest.param("delete:after-unregister", id="move:after-naming-remove"),
+    ],
 )
 def test_move_fault_injection_never_loses_the_object(tmp_path, point):
     fed = make_federation(tmp_path, n_repos=2)
@@ -270,6 +300,100 @@ def test_move_fault_injection_never_loses_the_object(tmp_path, point):
         name, fed.types["type-dc"], "getDCField", {"field": "Creator"}, "alice"
     )
     assert data == b"Melville, Herman"
+
+
+def test_a_move_completes_when_the_source_location_is_already_gone(tmp_path, monkeypatch):
+    """As a delete does, a move tolerates a source location that someone
+    else removed while it ran: the name ends at the target only."""
+    fed = make_federation(tmp_path, n_repos=2)
+    name = build_marc_object(fed)
+    source, target = fed.repos
+    add_location = fed.naming.add_location
+
+    def add_then_someone_removes_the_source(added, location):
+        add_location(added, location)
+        fed.naming.remove_location(added, source.endpoint)
+
+    monkeypatch.setattr(fed.naming, "add_location", add_then_someone_removes_the_source)
+    source.move(name, target.endpoint)
+    assert fed.naming.resolve(name) == [target.endpoint]
+    assert not source.contains(name)
+    assert target.contains(name)
+
+
+# -- every phase boundary of the lifecycle ---------------------------------------------
+
+
+def _lifecycle_call(fed, op: str):
+    """A call of lifecycle operation ``op`` on a fresh two-repository
+    federation, on an object that only the first repository holds."""
+    source, target = fed.repos
+    if op == "deposit":
+        handle = source.create_object()
+        fed.client().add_datastream(handle, "application/x-marc-lines", MARC_FIXTURE)
+        return lambda: source.deposit(handle)
+    name = build_marc_object(fed)
+    if op == "delete":
+        return lambda: source.delete(name)
+    if op == "receive_manifest":
+        manifest = source.store.read_bytes(name)
+        return lambda: target.receive_manifest(manifest)
+    return lambda: getattr(source, op)(name, target.endpoint)
+
+
+def _crash_view(fed, root: Path) -> tuple[dict, dict]:
+    """What a crash now would leave of the federation made under ``root``:
+    the objects of each storage root, copied and loaded as a restart loads
+    them, by endpoint, and the naming state replayed from a copy of the
+    journal."""
+    where = root / "crash"
+    held = {}
+    for i, repo in enumerate(fed.repos):
+        shutil.copytree(repo.config.storage_root, where / f"root{i}")
+        held[repo.endpoint] = ObjectStore(where / f"root{i}").load_all()
+    shutil.copy(root / "naming.jsonl", where / "naming.jsonl")
+    naming = NamingService(where / "naming.jsonl")
+    locations = {name: naming.resolve(name) for name in naming.names()}
+    naming.close()
+    return held, locations
+
+
+@pytest.mark.parametrize("op", ["deposit", "receive_manifest", "replicate", "move", "delete"])
+def test_a_crash_at_any_phase_boundary_keeps_the_federation_invariants(tmp_path, op):
+    """Records the labels ``op`` fires, then stops it at each in turn and
+    checks what a crash there leaves: every registered name resolves to a
+    location whose root holds the object, and every held copy of a name
+    serializes to the same bytes."""
+    fired = []
+    fed = make_federation(tmp_path / "labels", n_repos=2)
+    call = _lifecycle_call(fed, op)
+    for repo in fed.repos:
+        repo.fault_hook = fired.append
+    call()
+    assert fired, f"{op} fires no fault point"
+
+    for label in fired:
+        fed = make_federation(tmp_path / label, n_repos=2)
+        call = _lifecycle_call(fed, op)
+        views = []
+
+        def crash(point, fed=fed, label=label, views=views):
+            if point == label:
+                views.append(_crash_view(fed, tmp_path / label))
+                raise InjectedFault(point)
+
+        for repo in fed.repos:
+            repo.fault_hook = crash
+        with pytest.raises(InjectedFault):
+            call()
+        held, locations = views[0]
+        for name, listed in locations.items():
+            assert any(name in held.get(at, {}) for at in listed), f"{name} lost at {label}"
+        copies: dict[str, set[bytes]] = {}
+        for objects in held.values():
+            for name, obj in objects.items():
+                copies.setdefault(name, set()).add(obj.serialize())
+        assert all(len(manifests) == 1 for manifests in copies.values()), label
 
 
 # -- persistence / loadStore --------------------------------------------------------------
@@ -917,7 +1041,7 @@ def test_a_write_during_a_move_is_not_answered_and_then_lost(federation3):
     writer = threading.Thread(target=write)
 
     def start_writer(point):
-        if point == "move:after-copy":
+        if point == "replicate:after-transfer":
             writer.start()
             writer.join(0.5)  # long enough for a write that does not wait to finish
 

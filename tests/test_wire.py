@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import importlib
 import itertools
 import json
@@ -38,6 +39,7 @@ from objrepo.canonical import canonical_bytes
 from objrepo.errors import (
     BY_CODE,
     AccessDenied,
+    AlreadyPresent,
     AlreadyRegistered,
     BadArguments,
     DigestMismatch,
@@ -197,6 +199,78 @@ def test_replicate_and_move_over_wire(wire_federation):
     assert fed.naming_client.resolve(name) == [fed.servers[0].endpoint]
     with pytest.raises(NoSuchObject):
         client1.get_datastreams(name)
+
+
+def test_a_move_to_an_alias_of_its_own_endpoint_is_refused_at_once(wire_federation):
+    """Its own server is asked to receive an object that the move holds
+    locked: it answers ALREADY_PRESENT at once, as for a replicate, instead
+    of waiting on that lock until the client gives up."""
+    fed = wire_federation
+    name = wire_marc_object(fed)
+    alias = "localhost:" + fed.servers[0].endpoint.rsplit(":", 1)[1]
+    client = RepositoryClient(fed.servers[0].endpoint, timeout=3.0)
+    for call in (client.replicate, client.move):
+        with pytest.raises(AlreadyPresent):
+            call(name, alias)
+    assert fed.naming_client.resolve(name) == [fed.servers[0].endpoint]
+    assert fed.repos[0].contains(name)
+
+
+@contextlib.contextmanager
+def _fake_peer(reply: bytes):
+    """A loopback listener that reads each request and answers it with the
+    raw ``reply`` bytes; yields its endpoint."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # shut down
+                return
+            with conn, conn.makefile("rb") as rfile:
+                length = 0
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                rfile.read(length)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        thread.join(5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b'{"error": ["x"]}', b'{"error": {"code": "NOT_FOUND"}}', b'{"error": null}', b"[" * 10000],
+    ids=["list", "object", "null", "deeply-nested"],
+)
+def test_a_peer_error_reply_that_is_no_envelope_is_internal(wire_federation, body):
+    """A replicate target is any endpoint a client names. An error reply
+    whose code is no string is INTERNAL with the body as its detail, at the
+    client and through the source of a replicate, which logs nothing."""
+    fed = wire_federation
+    name = wire_marc_object(fed)
+    reply = (
+        b"HTTP/1.1 500 Internal Server Error\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body)
+    ) + body
+    with _fake_peer(reply) as peer:
+        with pytest.raises(ObjectRepositoryError) as at_client:
+            RepositoryClient(peer).receive_manifest(b"{}")
+        with pytest.raises(ObjectRepositoryError) as through_replicate:
+            fed.clients[0].replicate(name, peer)
+    assert (at_client.value.code, str(at_client.value)) == ("INTERNAL", body.decode())
+    assert (through_replicate.value.code, str(through_replicate.value)) == ("INTERNAL", body.decode())
+    assert fed.naming_client.resolve(name) == [fed.servers[0].endpoint]
 
 
 def test_receive_manifest_rejects_bad_digest(wire_federation):
