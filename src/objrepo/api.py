@@ -23,7 +23,7 @@ differs from its name, and a trailing ``?`` when a caller may omit it:
 ``"access.method"`` and ``"staged.method"`` name a kernel method that
 ``Repository.run`` runs on the deposited object the first argument names,
 or on the staged object whose handle it is, for the principal the last
-argument gives. A function is given where the arguments need shaping first.
+argument gives.
 
 ``reply`` names the JSON key that carries the result, which the service
 returns as plain JSON data; :data:`OK` replies ``{"ok": true}``, and
@@ -37,9 +37,6 @@ import inspect
 from typing import Callable, NamedTuple
 
 from . import shape
-from .errors import BadArguments
-from .kernel import KINDS, DisseminatorKind
-from .typesys import BUILTIN_TYPES
 
 DEFAULT_PRINCIPAL = "anonymous"
 OK = "ok"
@@ -74,7 +71,7 @@ def _method_call(spec: str) -> Callable:
 class Op:
     """One operation row; the module docstring gives the notation."""
 
-    def __init__(self, name: str, verb: str, path: str, args: str, call: str | Callable,
+    def __init__(self, name: str, verb: str, path: str, args: str, call: str,
                  reply: str, aliases: tuple[str, ...] = (), echo: tuple[str, ...] = ()):
         self.name = name
         self.verb = verb
@@ -85,7 +82,7 @@ class Op:
         #: the JSON request body's shape, or None for an operation without one
         self.body_shape = shape.record(dict, **body) if body else None
         #: ``call(service, *arguments)`` runs the operation
-        self.call = _method_call(call) if isinstance(call, str) else call
+        self.call = _method_call(call)
         self.reply = reply
         #: arguments repeated beside the result in the JSON reply
         self.echo = echo
@@ -143,16 +140,6 @@ def derive(ops):
     return decorate
 
 
-def _add_disseminator(repo, handle, content_type, servlet, bindings, kind, principal) -> str:
-    """An omitted kind is the one a reserved type URN implies, else CONTENT."""
-    if kind is None:
-        row = BUILTIN_TYPES.get(content_type)
-        kind = DisseminatorKind.CONTENT if row is None else row.kind
-    kind = DisseminatorKind(shape.check(KINDS, kind, BadArguments, "kind"))
-    return repo.run(handle, "create_disseminator", kind, content_type, servlet, bindings,
-                    principal=principal, staged=True)
-
-
 REPOSITORY_OPS = (
     # authoring (staged objects)
     Op("create_object", "POST", "/staging", "", "create_object", "handle"),
@@ -162,7 +149,7 @@ REPOSITORY_OPS = (
     Op("add_disseminator", "POST", "/staging/{handle}/disseminators",
        "handle:path content_type:body servlet:body? bindings:body? kind:body?"
        " principal:x-principal?",
-       _add_disseminator, "id"),
+       "staged.create_disseminator", "id"),
     Op("set_access_manager_staged", "POST", "/staging/{handle}/access-managers",
        "handle:path target:body scheme:body bindings:body? principal:x-principal?",
        "staged.set_access_manager", "id"),

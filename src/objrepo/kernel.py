@@ -107,23 +107,21 @@ class DataStream:
             self.sha256 = hashlib.sha256(self.content).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessManager:
     """Rights-scheme binding: scheme object URN plus argument streams."""
 
-    id: str
     scheme: str
     bindings: dict[str, list[str]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Disseminator:
     id: str
     kind: DisseminatorKind
     content_type: str
     servlet: str
     bindings: dict[str, list[str]]
-    access_manager: AccessManager | None = None
 
 
 DS_ID_RE = re.compile(r"^DS([1-9][0-9]*)$")
@@ -166,26 +164,25 @@ class DigitalObjectKernel:
     ``name`` is absent until the owning repository deposits the object;
     undeposited objects are reachable only through their staging handle.
     Id counters never run backwards, so stream and disseminator ids are
-    unique across the whole life of the object.
+    unique across the whole life of the object. ``access_managers`` maps a
+    target, :data:`PRIMITIVE_TARGET` or a disseminator id, to its manager.
     """
 
     name: str | None = None
     datastreams: list[DataStream] = field(default_factory=list)
     disseminators: list[Disseminator] = field(default_factory=list)
-    primitive_access_manager: AccessManager | None = None
+    access_managers: dict[str, AccessManager] = field(default_factory=dict)
     next_ds_seq: int = 1
     next_diss_seq: int = 1
-    # Access-manager ids are session-local: the manifest stores managers by
-    # target, so ids are reassigned on load and excluded from equality.
-    next_am_seq: int = 1
 
     def copy(self) -> DigitalObjectKernel:
-        """A copy for one write to change: new lists and disseminator records,
-        shared stream records and bytes, which no write changes."""
+        """A copy for one write to change: new containers that share every
+        record, none of which a write changes."""
         return replace(
             self,
             datastreams=list(self.datastreams),
-            disseminators=[replace(d) for d in self.disseminators],
+            disseminators=list(self.disseminators),
+            access_managers=dict(self.access_managers),
         )
 
     # -- lookup helpers -------------------------------------------------
@@ -227,16 +224,14 @@ class DigitalObjectKernel:
 
     # -- gateway requests ------------------------------------------------
 
-    def create_disseminator(
-        self,
-        kind: DisseminatorKind,
-        content_type: str,
-        servlet: str,
-        bindings,
-        resolver,
-    ) -> str:
-        kind = DisseminatorKind(kind)
+    def create_disseminator(self, content_type: str, servlet, bindings, kind, resolver) -> str:
+        """Bind a content type to a servlet, or to a built-in ``kind``. An
+        omitted ``kind`` is the one a reserved type URN implies, else CONTENT."""
         shape.check(shape.URN, content_type, BadArguments, "content_type")
+        if kind is None:
+            row = typesys.BUILTIN_TYPES.get(content_type)
+            kind = DisseminatorKind.CONTENT if row is None else row.kind
+        kind = DisseminatorKind(shape.check(KINDS, kind, BadArguments, "kind"))
         bindings = _request_bindings(bindings)
 
         if kind is DisseminatorKind.CONTENT:
@@ -273,7 +268,7 @@ class DigitalObjectKernel:
                 "content_type": d.content_type,
                 "servlet": d.servlet,
                 "bindings": {sid: list(ids) for sid, ids in d.bindings.items()},
-                "has_access_manager": d.access_manager is not None,
+                "has_access_manager": d.id in self.access_managers,
             }
             for d in self.disseminators
         ]
@@ -292,12 +287,6 @@ class DigitalObjectKernel:
         signature = resolver.resolve_content_type(content_type)
         return [spec.to_dict() for spec in signature.methods]
 
-    def _content_disseminator(self, content_type: str) -> Disseminator:
-        for d in self.disseminators:
-            if d.kind is DisseminatorKind.CONTENT and d.content_type == content_type:
-                return d
-        raise NoSuchTypeOnObject(f"object has no content type {content_type}")
-
     def get_dissemination(
         self,
         content_type: str,
@@ -311,11 +300,15 @@ class DigitalObjectKernel:
         Requests against the reserved built-in type URNs are answered
         natively from the bound document stream, which is what lets type
         resolution bottom out. When several disseminators carry the same
-        content type, the first in insertion order serves the request.
+        content type, the first in insertion order serves the request. A
+        built-in kind sits only under its own reserved URN, so one lookup by
+        content type finds either.
         """
+        diss = next((d for d in self.disseminators if d.content_type == content_type), None)
+        if diss is None:
+            raise NoSuchTypeOnObject(f"object has no content type {content_type}")
         row = typesys.BUILTIN_TYPES.get(content_type)
         if row is None:
-            diss = self._content_disseminator(content_type)
             signature = resolver.resolve_content_type(content_type)
             spec = signature.find_method(method)
             if spec is None:
@@ -324,15 +317,13 @@ class DigitalObjectKernel:
             program = resolver.resolve_servlet(diss.servlet)
             invoke = partial(typesys.execute_servlet, program, spec, diss.bindings, self, args)
         else:
-            diss = next((d for d in self.disseminators if d.kind == row.kind), None)
-            if diss is None:
-                raise NoSuchTypeOnObject(f"object has no {row.kind} disseminator")
             if method not in row.methods:
                 raise NoSuchMethod(f"{row.kind} disseminators do not serve {method!r}")
             if args:
                 raise BadArguments(f"{method} takes no arguments")
             invoke = partial(self._builtin_document, diss, row, method)
-        return access.enforce(diss.access_manager, resolver, self, method, principal, invoke)
+        am = self.access_managers.get(diss.id)
+        return access.enforce(am, resolver, self, method, principal, invoke)
 
     def _builtin_document(self, diss, row: typesys.BuiltinType, method) -> tuple[str, bytes]:
         """The bound document, or for ``getAttachmentSpec`` its servlet's
@@ -353,53 +344,45 @@ class DigitalObjectKernel:
         """Attach a rights scheme to PRIMITIVE or a disseminator, replacing
         any manager already there."""
         shape.check(shape.URN, scheme, BadArguments, "scheme")
-        diss = None
-        if target != PRIMITIVE_TARGET:
-            diss = self.find_disseminator(target)
-            if diss is None:
-                raise NoSuchDisseminator(f"no disseminator {target!r}")
+        self._check_target(target)
         bindings = _request_bindings(bindings)
         self._check_bindings(resolver.resolve_access_scheme(scheme).attachment_spec, bindings)
-
-        am = AccessManager(f"AM{self.next_am_seq}", scheme, bindings)
-        self.next_am_seq += 1
-        if diss is None:
-            self.primitive_access_manager = am
-        else:
-            diss.access_manager = am
-        return am.id
+        self.access_managers[target] = AccessManager(scheme, bindings)
+        return self.get_access_manager(target)["id"]
 
     def get_access_manager(self, target: str) -> dict | None:
-        if target == PRIMITIVE_TARGET:
-            am = self.primitive_access_manager
-        else:
-            diss = self.find_disseminator(target)
-            if diss is None:
-                raise NoSuchDisseminator(f"no disseminator {target!r}")
-            am = diss.access_manager
+        """The target's manager, if any. Its ``AMn`` id is its 1-based place
+        in the manifest's list, so one version of the object reports the
+        same id wherever it is loaded."""
+        self._check_target(target)
+        am = self.access_managers.get(target)
         if am is None:
             return None
         bindings = {sid: list(ids) for sid, ids in am.bindings.items()}
-        return {"id": am.id, "scheme": am.scheme, "bindings": bindings}
+        am_id = f"AM{self._managed_targets().index(target) + 1}"
+        return {"id": am_id, "scheme": am.scheme, "bindings": bindings}
+
+    def _check_target(self, target: str) -> None:
+        if target != PRIMITIVE_TARGET and self.find_disseminator(target) is None:
+            raise NoSuchDisseminator(f"no disseminator {target!r}")
+
+    def _managed_targets(self) -> list[str]:
+        """The targets that have a manager, in manifest order: PRIMITIVE,
+        then the disseminators in order."""
+        targets = (PRIMITIVE_TARGET, *(d.id for d in self.disseminators))
+        return [t for t in targets if t in self.access_managers]
 
     # -- canonical serialization ------------------------------------------
-
-    def _access_manager_entries(self) -> list[dict]:
-        entries = []
-        if self.primitive_access_manager is not None:
-            am = self.primitive_access_manager
-            entries.append({"bindings": am.bindings, "scheme": am.scheme, "target": PRIMITIVE_TARGET})
-        for d in self.disseminators:
-            if d.access_manager is not None:
-                am = d.access_manager
-                entries.append({"bindings": am.bindings, "scheme": am.scheme, "target": d.id})
-        return entries
 
     def _manifest_dict(self) -> dict:
         """The manifest document with empty ``digest`` and ``content_b64``
         slots; :meth:`_encode` splices the stream bodies in."""
+        managers = self.access_managers
         return {
-            "access_managers": self._access_manager_entries(),
+            "access_managers": [
+                {"bindings": managers[t].bindings, "scheme": managers[t].scheme, "target": t}
+                for t in self._managed_targets()
+            ],
             "datastreams": [
                 {"content_b64": "", "id": ds.id, "mime": ds.mime} for ds in self.datastreams
             ],
@@ -519,18 +502,12 @@ def _manifest_object(name, seq, datastreams, disseminators, access_managers, **_
             raise shape.Invalid(str(exc), ["disseminators", i]) from None
         _check_streams(obj, diss.bindings, ["disseminators", i, "bindings"])
     # each target takes one manager at most
-    targets = {PRIMITIVE_TARGET: obj, **{diss.id: diss for diss in disseminators}}
-    for i, entry in enumerate(access_managers):
-        _check_streams(obj, entry["bindings"], ["access_managers", i, "bindings"])
-        target = targets.pop(entry["target"], None)
-        if target is None:
+    targets = {PRIMITIVE_TARGET, *(diss.id for diss in disseminators)}
+    for i, (target, am) in enumerate(access_managers):
+        _check_streams(obj, am.bindings, ["access_managers", i, "bindings"])
+        if target not in targets or target in obj.access_managers:
             raise shape.Invalid("unknown or second target", ["access_managers", i, "target"])
-        am = AccessManager(f"AM{obj.next_am_seq}", entry["scheme"], entry["bindings"])
-        obj.next_am_seq += 1
-        if target is obj:
-            obj.primitive_access_manager = am
-        else:
-            target.access_manager = am
+        obj.access_managers[target] = am
     return obj
 
 
@@ -551,9 +528,10 @@ def _document(version: str, stream: shape.Check) -> shape.Check:
             servlet=shape.URN,
             bindings=BINDINGS,
         )),
-        access_managers=shape.list_of(
-            shape.record(dict, target=shape.STRING, scheme=shape.URN, bindings=BINDINGS)
-        ),
+        access_managers=shape.list_of(shape.record(
+            lambda target, scheme, bindings: (target, AccessManager(scheme, bindings)),
+            target=shape.STRING, scheme=shape.URN, bindings=BINDINGS,
+        )),
         digest=shape.STRING,
     )
 

@@ -46,6 +46,7 @@ from .errors import (
 from .canonical import sha256_hex
 from .kernel import (
     MANIFEST_VERSION,
+    PRIMITIVE_TARGET,
     PRIMITIVES,
     DigitalObjectKernel,
     deserialize_object,
@@ -349,7 +350,7 @@ class Repository:
 
         def serve(version: DigitalObjectKernel):
             work = partial(getattr(version, method), *args, **given)
-            pam = version.primitive_access_manager
+            pam = version.access_managers.get(PRIMITIVE_TARGET)
             return access.enforce(
                 pam, self.resolver, version, row.request, principal, work, row.transforms
             )

@@ -319,8 +319,8 @@ def test_c6_round_trip_determinism(stub_resolver):
                 gif_ids.append(ds)
         if gif_ids and rng.random() < 0.6:
             diss = obj.create_disseminator(
-                DisseminatorKind.CONTENT, STUB_URNS["type-book"], STUB_URNS["mech-book-gif"],
-                {"pages": gif_ids}, stub_resolver,
+                STUB_URNS["type-book"], STUB_URNS["mech-book-gif"], {"pages": gif_ids},
+                DisseminatorKind.CONTENT, stub_resolver,
             )
             if rng.random() < 0.5:
                 ds_acl = obj.create_datastream("application/x-fedora-acl+json", ACL_ALICE_ALL)

@@ -140,7 +140,7 @@ def test_apply_transforms_identity_and_order():
 
 def am_for(obj, acl_doc: bytes) -> AccessManager:
     ds = obj.create_datastream("application/x-fedora-acl+json", acl_doc)
-    return AccessManager("AM1", STUB_URNS["acl-v1"], {"acl": [ds]})
+    return AccessManager(STUB_URNS["acl-v1"], {"acl": [ds]})
 
 
 def test_enforce_without_manager_is_identity(stub_resolver):
@@ -179,7 +179,7 @@ def test_enforce_allow_with_stamp(stub_resolver):
 def test_enforce_propagates_scheme_failures(stub_resolver):
     obj = DigitalObjectKernel()
     am = am_for(obj, ACL_ALICE_ALL)
-    unknown = AccessManager("AM1", "urn:test:nowhere", am.bindings)
+    unknown = AccessManager("urn:test:nowhere", am.bindings)
     with pytest.raises(UnresolvableType):
         access.enforce(unknown, stub_resolver, obj, "m", "alice", lambda: ("t/p", b""))
 
@@ -195,7 +195,7 @@ def test_unknown_builtin_scheme(stub_resolver):
     )
     obj = DigitalObjectKernel()
     ds = obj.create_datastream("application/x-fedora-acl+json", ACL_ALICE_ALL)
-    am = AccessManager("AM1", "urn:test:acl-2", {"acl": [ds]})
+    am = AccessManager("urn:test:acl-2", {"acl": [ds]})
     with pytest.raises(SchemeError):
         access.evaluate(am, stub_resolver, obj, "m", "alice")
 
@@ -206,7 +206,7 @@ def test_pipeline_program_is_not_a_scheme(stub_resolver):
     stub_resolver.schemes["urn:test:fake-scheme"] = stub_resolver.servlets[
         STUB_URNS["mech-dc-pass"]
     ]
-    am = AccessManager("AM1", "urn:test:fake-scheme", {"acl": [ds]})
+    am = AccessManager("urn:test:fake-scheme", {"acl": [ds]})
     with pytest.raises(SchemeError):
         access.evaluate(am, stub_resolver, obj, "m", "alice")
 
@@ -214,7 +214,7 @@ def test_pipeline_program_is_not_a_scheme(stub_resolver):
 def test_malformed_acl_surfaces(stub_resolver):
     obj = DigitalObjectKernel()
     ds = obj.create_datastream("application/x-fedora-acl+json", b"{broken")
-    am = AccessManager("AM1", STUB_URNS["acl-v1"], {"acl": [ds]})
+    am = AccessManager(STUB_URNS["acl-v1"], {"acl": [ds]})
     with pytest.raises(MalformedAcl):
         access.evaluate(am, stub_resolver, obj, "m", "alice")
 

@@ -55,7 +55,7 @@ def three_stream_object() -> DigitalObjectKernel:
 def book_object(resolver, pages=PAGES) -> DigitalObjectKernel:
     obj = DigitalObjectKernel()
     ds = [obj.create_datastream("image/gif", p) for p in pages]
-    obj.create_disseminator(DisseminatorKind.CONTENT, BOOK, BOOK_GIF, {"pages": ds}, resolver)
+    obj.create_disseminator(BOOK, BOOK_GIF, {"pages": ds}, DisseminatorKind.CONTENT, resolver)
     return obj
 
 
@@ -63,7 +63,7 @@ def marc_object(resolver, acl: bytes | None = ACL_ALICE_ALL) -> DigitalObjectKer
     obj = DigitalObjectKernel()
     ds = obj.create_datastream("application/x-marc-lines", MARC_FIXTURE)
     diss = obj.create_disseminator(
-        DisseminatorKind.CONTENT, DC, MARC2DC, {"marc": [ds]}, resolver
+        DC, MARC2DC, {"marc": [ds]}, DisseminatorKind.CONTENT, resolver
     )
     if acl is not None:
         ds_acl = obj.create_datastream("application/x-fedora-acl+json", acl)
@@ -150,7 +150,7 @@ def test_attachment_cardinality_violation_names_structure(stub_resolver):
     ds2 = obj.create_datastream("application/x-marc-lines", MARC_FIXTURE)
     with pytest.raises(AttachmentViolation) as err:
         obj.create_disseminator(
-            DisseminatorKind.CONTENT, DC, MARC2DC, {"marc": [ds1, ds2]}, stub_resolver
+            DC, MARC2DC, {"marc": [ds1, ds2]}, DisseminatorKind.CONTENT, stub_resolver
         )
     assert "marc" in str(err.value)
 
@@ -160,7 +160,7 @@ def test_signature_mismatch_when_mechanism_implements_other_type(stub_resolver):
     ds = obj.create_datastream("application/x-marc-lines", MARC_FIXTURE)
     with pytest.raises(SignatureMismatch):
         obj.create_disseminator(
-            DisseminatorKind.CONTENT, DC, BOOK_GIF, {"marc": [ds]}, stub_resolver
+            DC, BOOK_GIF, {"marc": [ds]}, DisseminatorKind.CONTENT, stub_resolver
         )
 
 
@@ -169,11 +169,11 @@ def test_unresolvable_servlet_and_type(stub_resolver):
     ds = obj.create_datastream("application/x-marc-lines", MARC_FIXTURE)
     with pytest.raises(UnresolvableType):
         obj.create_disseminator(
-            DisseminatorKind.CONTENT, DC, "urn:test:nowhere", {"marc": [ds]}, stub_resolver
+            DC, "urn:test:nowhere", {"marc": [ds]}, DisseminatorKind.CONTENT, stub_resolver
         )
     with pytest.raises(UnresolvableType):
         obj.create_disseminator(
-            DisseminatorKind.CONTENT, "urn:test:nowhere", MARC2DC, {"marc": [ds]}, stub_resolver
+            "urn:test:nowhere", MARC2DC, {"marc": [ds]}, DisseminatorKind.CONTENT, stub_resolver
         )
 
 
@@ -205,9 +205,9 @@ def test_duplicate_builtin_rejected(stub_resolver, kind):
     obj = DigitalObjectKernel()
     first = builtin_document_stream(obj, kind)
     second = builtin_document_stream(obj, kind)
-    obj.create_disseminator(kind, urn, urn, {sid: [first]}, stub_resolver)
+    obj.create_disseminator(urn, urn, {sid: [first]}, kind, stub_resolver)
     with pytest.raises(DuplicateBuiltin):
-        obj.create_disseminator(kind, urn, urn, {sid: [second]}, stub_resolver)
+        obj.create_disseminator(urn, urn, {sid: [second]}, kind, stub_resolver)
     assert [d.id for d in obj.disseminators] == ["DISS1"]
 
 
@@ -222,7 +222,7 @@ def test_builtin_binding_violations(stub_resolver, kind):
     text = obj.create_datastream("text/plain", b"not a type document")
     for bindings in ({}, {"other": [ds]}, {sid: [ds, other]}, {sid: ["DS9"]}, {sid: [text]}):
         with pytest.raises(AttachmentViolation):
-            obj.create_disseminator(kind, urn, urn, bindings, stub_resolver)
+            obj.create_disseminator(urn, urn, bindings, kind, stub_resolver)
     assert obj.disseminators == []
 
 
@@ -231,12 +231,12 @@ def test_builtin_kind_requires_reserved_urn_and_document_mime(stub_resolver):
     ds = obj.create_datastream("text/plain", b"not a signature")
     with pytest.raises(BadArguments):
         obj.create_disseminator(
-            DisseminatorKind.SIGNATURE, DC, DC, {"signature": [ds]}, stub_resolver
+            DC, DC, {"signature": [ds]}, DisseminatorKind.SIGNATURE, stub_resolver
         )
     with pytest.raises(AttachmentViolation):
         obj.create_disseminator(
-            DisseminatorKind.SIGNATURE, "urn:fedora-builtin:signature",
-            "urn:fedora-builtin:signature", {"signature": [ds]}, stub_resolver,
+            "urn:fedora-builtin:signature", "urn:fedora-builtin:signature", {"signature": [ds]},
+            DisseminatorKind.SIGNATURE, stub_resolver,
         )
 
 
@@ -244,7 +244,7 @@ def test_content_disseminator_may_not_use_reserved_urn(stub_resolver):
     obj = DigitalObjectKernel()
     with pytest.raises(BadArguments):
         obj.create_disseminator(
-            DisseminatorKind.CONTENT, "urn:fedora-builtin:signature", MARC2DC, {}, stub_resolver
+            "urn:fedora-builtin:signature", MARC2DC, {}, DisseminatorKind.CONTENT, stub_resolver
         )
 
 
@@ -257,10 +257,10 @@ def test_get_disseminators_multi_type_object(stub_resolver):
     pages = [obj.create_datastream("image/gif", p) for p in PAGES]
     marc = obj.create_datastream("application/x-marc-lines", MARC_FIXTURE)
     dc = obj.create_datastream("application/x-dc-lines", b"Title: t\n")
-    obj.create_disseminator(DisseminatorKind.CONTENT, BOOK, BOOK_GIF, {"pages": pages}, stub_resolver)
-    obj.create_disseminator(DisseminatorKind.CONTENT, DC, MARC2DC, {"marc": [marc]}, stub_resolver)
+    obj.create_disseminator(BOOK, BOOK_GIF, {"pages": pages}, DisseminatorKind.CONTENT, stub_resolver)
+    obj.create_disseminator(DC, MARC2DC, {"marc": [marc]}, DisseminatorKind.CONTENT, stub_resolver)
     obj.create_disseminator(
-        DisseminatorKind.CONTENT, DC, STUB_URNS["mech-dc-pass"], {"dc": [dc]}, stub_resolver
+        DC, STUB_URNS["mech-dc-pass"], {"dc": [dc]}, DisseminatorKind.CONTENT, stub_resolver
     )
     infos = obj.get_disseminators()
     assert [i["kind"] for i in infos] == ["CONTENT"] * 3
@@ -367,8 +367,8 @@ def test_same_type_dispatches_to_first_disseminator(stub_resolver):
     dc_a = obj.create_datastream("application/x-dc-lines", b"Title: first\n")
     dc_b = obj.create_datastream("application/x-dc-lines", b"Title: second\n")
     pass_urn = STUB_URNS["mech-dc-pass"]
-    obj.create_disseminator(DisseminatorKind.CONTENT, DC, pass_urn, {"dc": [dc_a]}, stub_resolver)
-    obj.create_disseminator(DisseminatorKind.CONTENT, DC, pass_urn, {"dc": [dc_b]}, stub_resolver)
+    obj.create_disseminator(DC, pass_urn, {"dc": [dc_a]}, DisseminatorKind.CONTENT, stub_resolver)
+    obj.create_disseminator(DC, pass_urn, {"dc": [dc_b]}, DisseminatorKind.CONTENT, stub_resolver)
     assert obj.list_disseminator_types() == [DC]
     _, data = obj.get_dissemination(DC, "getDCRecord", {}, "anonymous", stub_resolver)
     assert data == b"Title: first\n"
@@ -389,8 +389,8 @@ def test_builtin_dissemination_serves_document(stub_resolver):
     )
     ds = obj.create_datastream("application/x-fedora-signature+json", doc)
     obj.create_disseminator(
-        DisseminatorKind.SIGNATURE, "urn:fedora-builtin:signature",
-        "urn:fedora-builtin:signature", {"signature": [ds]}, stub_resolver,
+        "urn:fedora-builtin:signature", "urn:fedora-builtin:signature", {"signature": [ds]},
+        DisseminatorKind.SIGNATURE, stub_resolver,
     )
     mime, data = obj.get_dissemination(
         "urn:fedora-builtin:signature", "getSignature", {}, "anonymous", stub_resolver
@@ -411,8 +411,8 @@ def test_builtin_attachment_spec_dissemination(stub_resolver):
     doc = canonical_bytes(fixture_documents()["mech-book-gif"])
     ds = obj.create_datastream("application/x-fedora-servlet+json", doc)
     obj.create_disseminator(
-        DisseminatorKind.SERVLET, "urn:fedora-builtin:servlet", "urn:fedora-builtin:servlet",
-        {"servlet": [ds]}, stub_resolver,
+        "urn:fedora-builtin:servlet", "urn:fedora-builtin:servlet", {"servlet": [ds]},
+        DisseminatorKind.SERVLET, stub_resolver,
     )
     mime, data = obj.get_dissemination(
         "urn:fedora-builtin:servlet", "getAttachmentSpec", {}, "anonymous", stub_resolver
@@ -431,8 +431,8 @@ def test_servlet_document_without_a_utf8_form_is_malformed(stub_resolver):
     )
     ds = obj.create_datastream("application/x-fedora-servlet+json", doc)
     obj.create_disseminator(
-        DisseminatorKind.SERVLET, "urn:fedora-builtin:servlet", "urn:fedora-builtin:servlet",
-        {"servlet": [ds]}, stub_resolver,
+        "urn:fedora-builtin:servlet", "urn:fedora-builtin:servlet", {"servlet": [ds]},
+        DisseminatorKind.SERVLET, stub_resolver,
     )
     with pytest.raises(MalformedServlet):
         obj.get_dissemination(
@@ -451,12 +451,12 @@ def test_object_may_carry_both_builtin_kinds(stub_resolver):
         "application/x-fedora-servlet+json", canonical_bytes(fixture_documents()["mech-book-gif"])
     )
     obj.create_disseminator(
-        DisseminatorKind.SIGNATURE, "urn:fedora-builtin:signature",
-        "urn:fedora-builtin:signature", {"signature": [sig]}, stub_resolver,
+        "urn:fedora-builtin:signature", "urn:fedora-builtin:signature", {"signature": [sig]},
+        DisseminatorKind.SIGNATURE, stub_resolver,
     )
     obj.create_disseminator(
-        DisseminatorKind.SERVLET, "urn:fedora-builtin:servlet", "urn:fedora-builtin:servlet",
-        {"servlet": [srv]}, stub_resolver,
+        "urn:fedora-builtin:servlet", "urn:fedora-builtin:servlet", {"servlet": [srv]},
+        DisseminatorKind.SERVLET, stub_resolver,
     )
     assert obj.get_dissemination(
         "urn:fedora-builtin:signature", "getSignature", {}, "anonymous", stub_resolver

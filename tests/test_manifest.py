@@ -60,12 +60,13 @@ def build(spec: dict) -> DigitalObjectKernel:
     for mime, content in spec["streams"]:
         obj.create_datastream(mime, content)
     for i, (kind, content_type, servlet, bindings, am) in enumerate(spec["disseminators"], 1):
-        manager = None if am is None else AccessManager(f"AM{i + 1}", am[0], am[1])
         obj.disseminators.append(Disseminator(
-            f"DISS{i}", DisseminatorKind(kind), content_type, servlet, bindings, manager
+            f"DISS{i}", DisseminatorKind(kind), content_type, servlet, bindings
         ))
+        if am is not None:
+            obj.access_managers[f"DISS{i}"] = AccessManager(*am)
     if spec["primitive"] is not None:
-        obj.primitive_access_manager = AccessManager("AM1", *spec["primitive"])
+        obj.access_managers["PRIMITIVE"] = AccessManager(*spec["primitive"])
     obj.next_ds_seq += spec["gaps"][0]
     obj.next_diss_seq = len(spec["disseminators"]) + 1 + spec["gaps"][1]
     obj.name = spec["name"]

@@ -417,6 +417,25 @@ def test_restart_preserves_objects(tmp_path):
     assert data == b"Moby-Dick; or, The Whale"
 
 
+def test_access_manager_ids_survive_a_restart_and_a_replica(tmp_path):
+    """An AMn id is the manager's place in the manifest, PRIMITIVE first,
+    not the order the managers were set in."""
+    fed = make_federation(tmp_path, n_repos=2)
+    name = build_marc_object(fed)  # guards DISS1 with the ACL in DS2 while staged
+    fed.repos[0].run(name, "set_access_manager", PRIMITIVE_TARGET, fed.types["acl-v1"],
+                     {"acl": ["DS2"]})
+
+    def ids(repo: Repository) -> dict:
+        return {target: repo.run(name, "get_access_manager", target, principal="alice")["id"]
+                for target in (PRIMITIVE_TARGET, "DISS1")}
+
+    before = ids(fed.repos[0])
+    assert before == {PRIMITIVE_TARGET: "AM1", "DISS1": "AM2"}
+    assert ids(restart_repo(fed, 0)) == before
+    fed.repos[0].replicate(name, fed.repos[1].endpoint)
+    assert ids(fed.repos[1]) == before
+
+
 def large(text: bytes) -> bytes:
     """A stream body stored apart from its object's record, as a blob."""
     return text.ljust(BLOB_MIN_BYTES, b".")
@@ -922,18 +941,45 @@ def disk_full(obj):
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def test_failed_persist_leaves_the_old_version_served_and_stored(federation, monkeypatch):
+#: a write of the walkthrough object with a third stream, an ACL, as DS3:
+#: the request and the arguments after the object's name
+WRITES = {
+    "create_datastream": lambda types: ("create_datastream", "text/plain", b"never stored"),
+    "create_disseminator": lambda types: (
+        "create_disseminator", types["type-dc"], types["mech-marc2dc"], {"marc": ["DS1"]}, None
+    ),
+    "set_access_manager-PRIMITIVE": lambda types: (
+        "set_access_manager", PRIMITIVE_TARGET, types["acl-v1"], {"acl": ["DS3"]}
+    ),
+    "set_access_manager-DISS1": lambda types: (
+        "set_access_manager", "DISS1", types["acl-v1"], {"acl": ["DS3"]}
+    ),
+}
+
+
+def served_state(repo: Repository, name: str) -> tuple:
+    return (
+        repo.run(name, "get_datastreams"),
+        repo.run(name, "get_disseminators"),
+        repo.run(name, "get_access_manager", PRIMITIVE_TARGET),
+        repo.run(name, "get_access_manager", "DISS1"),
+    )
+
+
+@pytest.mark.parametrize("write", WRITES)
+def test_failed_persist_leaves_the_old_version_served_and_stored(federation, monkeypatch, write):
     repo = federation.repos[0]
     name = build_marc_object(federation)
-    before = repo.run(name, "get_datastreams")
+    repo.run(name, "create_datastream", "application/x-fedora-acl+json", ACL_ALICE_ALL)
+    before = served_state(repo, name)
     stored = repo.store.read_bytes(name)
     monkeypatch.setattr(repo.store, "save", disk_full)
     with pytest.raises(OSError):
-        repo.run(name, "create_datastream", "text/plain", b"never stored")
-    assert repo.run(name, "get_datastreams") == before
+        repo.run(name, *WRITES[write](federation.types))
+    assert served_state(repo, name) == before
     monkeypatch.undo()
     assert repo.store.read_bytes(name) == stored
-    assert restart_repo(federation, 0).run(name, "get_datastreams") == before
+    assert served_state(restart_repo(federation, 0), name) == before
 
 
 def test_a_read_does_not_wait_for_a_write_of_its_object(federation, monkeypatch):

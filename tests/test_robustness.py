@@ -60,10 +60,11 @@ def _manifest() -> dict:
     obj.create_datastream("application/x-fedora-acl+json", json.dumps(ACL).encode())
     obj.disseminators.append(Disseminator(
         "DISS1", DisseminatorKind.CONTENT, "urn:test:type-dc", "urn:test:mech-dc-pass",
-        {"dc": ["DS1"]}, AccessManager("AM2", "urn:test:acl-1", {"acl": ["DS2"]}),
+        {"dc": ["DS1"]},
     ))
     obj.next_diss_seq = 2
-    obj.primitive_access_manager = AccessManager("AM1", "urn:test:acl-1", {"acl": ["DS2"]})
+    for target in ("PRIMITIVE", "DISS1"):
+        obj.access_managers[target] = AccessManager("urn:test:acl-1", {"acl": ["DS2"]})
     return json.loads(obj.serialize())
 
 

@@ -358,7 +358,7 @@ def album_dissemination(resolver, method: str, args: dict):
     obj = album_object()
     album = STUB_URNS["type-photoalbum"]
     obj.create_disseminator(
-        DisseminatorKind.CONTENT, album, STUB_URNS["mech-photoalbum"], ALBUM_BINDINGS, resolver
+        album, STUB_URNS["mech-photoalbum"], ALBUM_BINDINGS, DisseminatorKind.CONTENT, resolver
     )
     return obj.get_dissemination(album, method, args, "anonymous", resolver)
 

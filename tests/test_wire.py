@@ -44,6 +44,7 @@ from objrepo.errors import (
     BadArguments,
     DigestMismatch,
     NamingUnavailable,
+    NoSuchHandle,
     NoSuchObject,
     NotRegistered,
     ObjectRepositoryError,
@@ -51,6 +52,7 @@ from objrepo.errors import (
     UnresolvableType,
     http_status,
 )
+from objrepo.kernel import PRIMITIVE_TARGET
 from objrepo.naming import NamingConfig, NamingService
 from objrepo.wire import (
     NAMING_ROUTES,
@@ -503,6 +505,25 @@ def test_builtin_disseminator_naming_another_servlet_gets_400(wire_federation, t
             with pytest.raises(BadArguments):
                 client.add_disseminator(handle, **body)
         assert client.get_disseminators(client.deposit(handle)) == []
+
+
+def test_add_disseminator_checks_its_kind_after_the_handle_and_the_access_check(
+        wire_federation, tmp_path):
+    """An unknown kind is refused where the row's other arguments are: after
+    the handle is found and the staged object's primitive manager allows
+    the caller, in process and over the wire alike."""
+    local = make_federation(tmp_path / "local")
+    for client, types in ((local.client(), local.types),
+                          (wire_federation.clients[0], wire_federation.types)):
+        with pytest.raises(NoSuchHandle):
+            client.add_disseminator("0" * 32, types["type-dc"], kind="BOGUS")
+        handle = client.create_object()
+        acl = client.add_datastream(handle, "application/x-fedora-acl+json", ACL_ALICE_ALL)
+        client.set_access_manager_staged(handle, PRIMITIVE_TARGET, types["acl-v1"], {"acl": [acl]})
+        with pytest.raises(AccessDenied):
+            client.add_disseminator(handle, types["type-dc"], kind="BOGUS", principal="mallory")
+        with pytest.raises(BadArguments):
+            client.add_disseminator(handle, types["type-dc"], kind="BOGUS", principal="alice")
 
 
 #: the first argument's value and the code it gets, for each row whose first
