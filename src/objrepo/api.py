@@ -33,7 +33,6 @@ its MIME.
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, NamedTuple
 
 from . import shape
@@ -41,6 +40,7 @@ from . import shape
 DEFAULT_PRINCIPAL = "anonymous"
 OK = "ok"
 RAW = "raw"
+_REQUIRED = object()  # the default of an argument a caller must give
 
 
 class Arg(NamedTuple):
@@ -86,21 +86,30 @@ class Op:
         self.reply = reply
         #: arguments repeated beside the result in the JSON reply
         self.echo = echo
-        self.signature = inspect.Signature(
-            inspect.Parameter(
-                a.name,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                default=None if a.optional else inspect.Parameter.empty,
-            )
-            for a in self.args
-        )
+        #: each argument's name, and whether a caller must give it
+        self.defaults = {a.name: None if a.optional else _REQUIRED for a in self.args}
 
     def bind(self, args, kwargs) -> dict:
         """A client call's arguments by name in row order, checked like a
-        plain method's."""
-        bound = self.signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return bound.arguments
+        plain method's: an omitted optional argument is None."""
+        names = self.defaults
+        if len(args) > len(names):
+            raise TypeError(f"{self.name}() takes {len(names)} positional arguments"
+                            f" but {len(args)} were given")
+        values = dict(zip(names, args))
+        if len(values) == len(names) and not kwargs:
+            return values
+        for key in kwargs:
+            if key not in names:
+                raise TypeError(f"{self.name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{self.name}() got multiple values for argument {key!r}")
+        values.update(kwargs)
+        missing = [name for name, default in names.items()
+                   if default is _REQUIRED and name not in values]
+        if missing:
+            raise TypeError(f"{self.name}() missing required arguments: {', '.join(missing)}")
+        return {name: values.get(name) for name in names}
 
     def invoke(self, service, values: dict):
         """Run the call and return its encoded result."""

@@ -136,6 +136,12 @@ class NoSuchLocation(ObjectRepositoryError):
     code = "NO_SUCH_LOCATION"
 
 
+class BodyTooLarge(ObjectRepositoryError):
+    """A request body above the server's limit, refused unread."""
+
+    code = "BODY_TOO_LARGE"
+
+
 class NotFound(ObjectRepositoryError):
     """Unknown wire route."""
 
@@ -166,6 +172,8 @@ def http_status(code: str) -> int:
         return 404
     if code == "ACCESS_DENIED":
         return 403
+    if code == "BODY_TOO_LARGE":
+        return 413
     if code in _CONFLICT:
         return 409
     if code in _UPSTREAM:

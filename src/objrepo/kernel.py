@@ -8,12 +8,14 @@ added by servlet programs resolved through a :class:`~objrepo.typesys.ContentTyp
 
 Objects serialize to a canonical, digest-carrying JSON manifest so replicas
 can be compared byte-for-byte across repositories. A repository stores an
-object as a storage record: the same document with the SHA-256 of each large
-stream in place of its body, whose bytes are kept apart under that hash.
-Both are read back by one rule: the :mod:`objrepo.shape` schema of the
-document builds an object, checking the bindings it shares with requests,
-and the document is accepted only if that object re-encodes to its very
-bytes. The digest is checked only for a document so refused.
+object as a storage record: a header, the same document with each stream
+named by its length and SHA-256 in place of its body, one newline, then the
+bodies under :data:`BLOB_MIN_BYTES` raw in stream order; larger bodies are
+kept apart under their hash. Both are read back by one rule: the
+:mod:`objrepo.shape` schema of the document builds an object, checking the
+bindings it shares with requests, and the document is accepted only if
+that object re-encodes to its very bytes. The digest is checked only for a
+document so refused.
 """
 
 from __future__ import annotations
@@ -44,13 +46,16 @@ from .errors import (
 )
 
 MANIFEST_VERSION = "objrepo-manifest-1"
-RECORD_VERSION = "objrepo-record-1"
+RECORD_VERSION = "objrepo-record-2"
+#: the storage record before bodies were kept raw: read, and converted at
+#: start, never written
+_RECORD_1 = "objrepo-record-1"
 #: A stream body of at least this many bytes is stored apart from its
 #: object's storage record, as a blob named by its SHA-256; a smaller one
-#: stays in the record as base64. Each body stored apart costs a file
-#: creation when first stored, and each body kept in the record costs its
-#: re-encoding and rewrite at every write of the object; at about this size
-#: the two cost the same.
+#: stays raw in the record, after its header. Each body stored apart costs
+#: a file creation when first stored, and each body kept in the record is
+#: rewritten (not re-encoded) at every write of the object; at about this
+#: size the two cost the same.
 BLOB_MIN_BYTES = 64 * 1024
 
 PRIMITIVE_TARGET = "PRIMITIVE"
@@ -374,18 +379,16 @@ class DigitalObjectKernel:
 
     # -- canonical serialization ------------------------------------------
 
-    def _manifest_dict(self) -> dict:
-        """The manifest document with empty ``digest`` and ``content_b64``
-        slots; :meth:`_encode` splices the stream bodies in."""
+    def _manifest_dict(self, stream) -> dict:
+        """The manifest document with an empty ``digest`` slot, each stream
+        entry made by ``stream(ds)``."""
         managers = self.access_managers
         return {
             "access_managers": [
                 {"bindings": managers[t].bindings, "scheme": managers[t].scheme, "target": t}
                 for t in self._managed_targets()
             ],
-            "datastreams": [
-                {"content_b64": "", "id": ds.id, "mime": ds.mime} for ds in self.datastreams
-            ],
+            "datastreams": [stream(ds) for ds in self.datastreams],
             "digest": "",
             "disseminators": [
                 {
@@ -404,41 +407,42 @@ class DigitalObjectKernel:
 
     def serialize(self) -> bytes:
         """Canonical manifest bytes; deterministic for a given object state."""
-        return self._encode(MANIFEST_VERSION, ())
+        return self._encode(MANIFEST_VERSION, _inline)
 
     def blobs(self) -> dict[str, bytes]:
-        """{SHA-256: body} of the streams a storage record names by hash."""
+        """{SHA-256: body} of the streams a storage record keeps apart."""
         return {ds.sha256: ds.content for ds in self.datastreams
                 if len(ds.content) >= BLOB_MIN_BYTES}
 
     def storage_record(self) -> bytes:
-        """The manifest document with the SHA-256 of each of :meth:`blobs`
-        in place of its body, sealed the same way with a digest of its own."""
-        return self._encode(RECORD_VERSION, self.blobs())
+        """The record header, the manifest document with each stream named
+        by its length and SHA-256, sealed the same way with a digest of its
+        own; one newline; then each body not in :meth:`blobs`, raw, in
+        stream order. Canonical JSON holds no newline, so the first one ends
+        the header. No body is encoded or hashed."""
+        header = self._encode(RECORD_VERSION, _named)
+        small = (ds.content for ds in self.datastreams if len(ds.content) < BLOB_MIN_BYTES)
+        return b"".join((header, b"\n", *small))
 
-    def _encode(self, version: str, apart) -> bytes:
+    def _encode(self, version: str, stream) -> bytes:
         """The canonical ``version`` document of this object, each stream
-        whose SHA-256 is in ``apart`` named by that hash, with the empty
-        ``digest`` slot holding the SHA-256 of the whole.
+        entry made by ``stream(ds)``, with the empty ``digest`` slot holding
+        the SHA-256 of the whole.
 
         Only the few hundred bytes of the skeleton go through ``json.dumps``;
-        base64 needs no JSON escaping, so each body is spliced into its empty
-        ``content_b64`` slot verbatim. Every other string value sits under a
-        fixed key, so the skeleton has exactly one slot per inline body.
-        "digest" sorts after "access_managers" and "datastreams", whose
-        values hold no ``"digest":""``, so the first such slot in the last
-        part is the document's own.
+        base64 needs no JSON escaping, so the body of each entry with an
+        empty ``content_b64`` slot is spliced into it verbatim. Every other
+        string value sits under a fixed key, so the skeleton has exactly one
+        slot per such entry. "digest" sorts after "access_managers" and
+        "datastreams", whose values hold no ``"digest":""``, so the first
+        such slot in the last part is the document's own.
         """
         if self.name is None:
             raise UndepositedObject("object has no name yet; deposit it first")
-        doc = dict(self._manifest_dict(), version=version)
-        inline = []
-        for entry, ds in zip(doc["datastreams"], self.datastreams):
-            if ds.sha256 in apart:
-                del entry["content_b64"]
-                entry["sha256"] = ds.sha256
-            else:
-                inline.append(base64.b64encode(ds.content))
+        doc = dict(self._manifest_dict(stream), version=version)
+        inline = [base64.b64encode(ds.content)
+                  for entry, ds in zip(doc["datastreams"], self.datastreams)
+                  if "content_b64" in entry]
         pieces = canonical_bytes(doc).split(b'"content_b64":""')
         parts = [pieces[0]]
         for b64, piece in zip(inline, pieces[1:]):
@@ -454,9 +458,26 @@ class DigitalObjectKernel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalObjectKernel):
             return NotImplemented
-        return self._manifest_dict() == other._manifest_dict() and all(
+        return self._manifest_dict(_inline) == other._manifest_dict(_inline) and all(
             a.content == b.content for a, b in zip(self.datastreams, other.datastreams)
         )
+
+
+def _inline(ds: DataStream) -> dict:
+    """A manifest's stream entry, its body to be spliced in as base64."""
+    return {"content_b64": "", "id": ds.id, "mime": ds.mime}
+
+
+def _named(ds: DataStream) -> dict:
+    """A record header's stream entry: the body named by length and hash."""
+    return {"id": ds.id, "length": len(ds.content), "mime": ds.mime, "sha256": ds.sha256}
+
+
+def _named_if_blob(ds: DataStream) -> dict:
+    """A record-1 stream entry: a body kept apart named by hash, else inline."""
+    if len(ds.content) >= BLOB_MIN_BYTES:
+        return {"id": ds.id, "mime": ds.mime, "sha256": ds.sha256}
+    return _inline(ds)
 
 
 def _base64(value) -> bytes:
@@ -563,13 +584,13 @@ def _check_digest(doc, what: str) -> None:
         raise DigestMismatch(f"{what} digest does not verify")
 
 
-def _decode(data: bytes, schema: shape.Check, what: str, encode) -> DigitalObjectKernel:
-    """The object ``schema`` builds from the document ``data``, accepted
-    only if ``encode`` turns it back into ``data`` byte for byte, which
-    proves its digest as well. A document refused for its shape, for a
-    stream body it names, or for not being that encoding is refused for its
-    digest instead when that does not verify."""
-    doc = shape.load(data, MalformedManifest, what)
+def _decode(doc, data: bytes, schema: shape.Check, what: str, encode) -> DigitalObjectKernel:
+    """The object ``schema`` builds from ``doc``, the JSON document parsed
+    from ``data`` (from its header, for a record), accepted only if
+    ``encode`` turns it back into ``data`` byte for byte, which proves its
+    digest as well. A document refused for its shape, for a stream body it
+    names, or for not being that encoding is refused for its digest instead
+    when that does not verify."""
     try:
         obj = shape.check(schema, doc, MalformedManifest, what)
         if encode(obj) != data:
@@ -582,13 +603,46 @@ def _decode(data: bytes, schema: shape.Check, what: str, encode) -> DigitalObjec
 
 def deserialize_object(data: bytes) -> DigitalObjectKernel:
     """The object a canonical manifest describes: one that serializes to it."""
-    return _decode(data, _MANIFEST, "manifest", DigitalObjectKernel.serialize)
+    doc = shape.load(data, MalformedManifest, "manifest")
+    return _decode(doc, data, _MANIFEST, "manifest", DigitalObjectKernel.serialize)
 
 
-def load_record(data: bytes, blob) -> DigitalObjectKernel:
+def load_record(data: bytes, blob) -> tuple[DigitalObjectKernel, str]:
     """The object a :meth:`~DigitalObjectKernel.storage_record` describes,
-    the body of each stream named by hash read by ``blob(sha256)``; like a
-    manifest, a record is taken only if it is that object's own record."""
+    and the version of the format it was stored in. Each body kept apart is
+    read by ``blob(sha256)``; each inline one must match its length and
+    hash. Like a manifest, a record is taken only if it is that object's own
+    record. The header's ``version`` picks the format: a manifest or an
+    ``objrepo-record-1`` record that an older objrepo stored is read by the
+    rule it was written by; a body's bytes are never looked at for that."""
+    head, _, tail = data.partition(b"\n")
+    doc = shape.load(head, MalformedManifest, "record")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version == MANIFEST_VERSION:
+        return _decode(doc, data, _MANIFEST, "manifest", DigitalObjectKernel.serialize), version
+    if version == _RECORD_1:
+        return _decode(doc, data, _record_1(blob), "record", _encode_record_1), version
+    at = 0
+
+    def stream(id, mime, length, sha256):
+        nonlocal at
+        if length >= BLOB_MIN_BYTES:
+            return DataStream(id, mime, blob(sha256), sha256)
+        content, at = tail[at:at + length], at + length
+        if len(content) < length or sha256_hex(content) != sha256:
+            raise shape.Invalid("body does not match its length and sha256")
+        return DataStream(id, mime, content, sha256)
+
+    schema = _document(RECORD_VERSION, shape.record(
+        stream, id=_DS_ID, mime=shape.MIME, length=shape.integer(0), sha256=_SHA256,
+    ))
+    obj = _decode(doc, data, schema, "record", DigitalObjectKernel.storage_record)
+    return obj, RECORD_VERSION
+
+
+def _record_1(blob) -> shape.Check:
+    """The schema of an ``objrepo-record-1`` record: a manifest whose large
+    stream bodies are named by hash, as ``blob(sha256)`` reads them."""
 
     def stream(id, mime, content_b64=None, sha256=None):
         if (content_b64 is None) == (sha256 is None):
@@ -597,12 +651,14 @@ def load_record(data: bytes, blob) -> DigitalObjectKernel:
             return DataStream(id, mime, content_b64)
         return DataStream(id, mime, blob(sha256), sha256)
 
-    streams = shape.record(
+    return _document(_RECORD_1, shape.record(
         stream,
         id=_DS_ID,
         mime=shape.MIME,
         content_b64=shape.optional(_base64),
         sha256=shape.optional(_SHA256),
-    )
-    schema = _document(RECORD_VERSION, streams)
-    return _decode(data, schema, "record", DigitalObjectKernel.storage_record)
+    ))
+
+
+def _encode_record_1(obj: DigitalObjectKernel) -> bytes:
+    return obj._encode(_RECORD_1, _named_if_blob)

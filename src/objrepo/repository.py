@@ -45,9 +45,9 @@ from .errors import (
 )
 from .canonical import sha256_hex
 from .kernel import (
-    MANIFEST_VERSION,
     PRIMITIVE_TARGET,
     PRIMITIVES,
+    RECORD_VERSION,
     DigitalObjectKernel,
     deserialize_object,
     load_record,
@@ -93,8 +93,9 @@ def encode_name(name: str) -> str:
 
 class ObjectStore:
     """One storage record per deposited object, as ``objects/<encoded
-    name>.json``, and each distinct large stream body once, as
-    ``blobs/<sha256>`` (:data:`~objrepo.kernel.BLOB_MIN_BYTES`).
+    name>.json`` (a JSON header, then its small bodies raw), and each
+    distinct large stream body once, as ``blobs/<sha256>``
+    (:data:`~objrepo.kernel.BLOB_MIN_BYTES`).
 
     Every file is written to a temp file and renamed into place, the blobs an
     object adds before its record. A blob is kept while a record names it:
@@ -151,7 +152,8 @@ class ObjectStore:
 
     def read_bytes(self, name: str) -> bytes:
         """The canonical manifest of the stored object, rebuilt from its record and blobs."""
-        return load_record(self.path_for(name).read_bytes(), self._read_blob).serialize()
+        obj, _ = load_record(self.path_for(name).read_bytes(), self._read_blob)
+        return obj.serialize()
 
     def delete(self, name: str) -> None:
         self.path_for(name).unlink(missing_ok=True)
@@ -193,31 +195,32 @@ class ObjectStore:
 
         A record that does not verify, is filed under another name, or names
         a blob that is missing or does not match its hash is quarantined,
-        never served; so is every blob that only quarantined records name.
-        Other blobs no record names, and temp files a crash left, are removed.
-        A manifest of the one-file layout objrepo stored before blobs is
-        converted in place: its blobs are written, then its record is renamed
-        over it."""
+        never served; so is every blob that only quarantined records name,
+        as their headers name them. Other blobs no record names, and temp
+        files a crash left, are removed. A record in an older format (a
+        manifest of the one-file layout objrepo stored before blobs, or an
+        ``objrepo-record-1`` record) is converted in place: its blobs are
+        written, then its record is renamed over it."""
         blob = cache(self._read_blob)  # a blob that does not verify is not cached
         objects: dict[str, DigitalObjectKernel] = {}
         suspect: set[str] = set()
         for path in sorted(self.objects_dir.glob("*.json")):
             data = path.read_bytes()
-            old = data.endswith(_MANIFEST_END)
-            named = frozenset(ref.decode("ascii") for ref in _BLOB_REF.findall(data))
             try:
-                obj = deserialize_object(data) if old else load_record(data, blob)
+                obj, version = load_record(data, blob)
                 if encode_name(obj.name) + ".json" != path.name:
                     raise MalformedManifest(f"object {obj.name} is not filed under its name")
             except (MalformedManifest, DigestMismatch) as exc:
-                suspect |= named
+                # the header ends at the first newline; no body comes before it
+                header = data.partition(b"\n")[0]
+                suspect.update(ref.decode("ascii") for ref in _BLOB_REF.findall(header))
                 self.quarantine(path, exc)
                 continue
-            if old:
-                self.save(obj)
-            else:
-                self._named[obj.name] = named
+            if version == RECORD_VERSION:
+                self._named[obj.name] = named = frozenset(obj.blobs())
                 self._pin(named)
+            else:
+                self.save(obj)
             objects[obj.name] = obj
         for path in [*self.objects_dir.glob("*.tmp"), *self.blobs_dir.iterdir()]:
             if path.name in self._pins:
@@ -229,8 +232,7 @@ class ObjectStore:
         return objects
 
 
-#: how every manifest ``serialize`` writes ends: "version" is its last key
-_MANIFEST_END = b'"version":"%s"}' % MANIFEST_VERSION.encode("ascii")
+#: a body's hash in a record header that may not parse
 _BLOB_REF = re.compile(rb'"sha256"\s*:\s*"([0-9a-f]{64})"')
 
 

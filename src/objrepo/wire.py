@@ -31,6 +31,7 @@ from . import errors, shape
 from .api import DEFAULT_PRINCIPAL, NAMING_OPS, RAW, REPOSITORY_OPS, Op, derive
 from .errors import (
     BadArguments,
+    BodyTooLarge,
     NamingUnavailable,
     NotFound,
     ObjectRepositoryError,
@@ -102,6 +103,9 @@ def _envelope(exc: ObjectRepositoryError) -> tuple[int, str, bytes]:
 
 #: the longest request line or header line, and the most header lines, a request may have
 _MAX_LINE, _MAX_HEADERS = 65536, 100
+#: the largest request body a server reads: a 16 MB datastream and the 22 MB
+#: manifest that replicating an object holding it sends fit, with room
+MAX_BODY_BYTES = 64 * 1024 * 1024
 #: the request headers the protocol reads; every other one is skipped
 _HEADERS_READ = {"content-length", "content-type", "x-principal", "connection", "transfer-encoding"}
 _VERBS = {"GET", "POST", "PUT", "DELETE"}
@@ -191,11 +195,16 @@ class _Handler:
             self.close_connection = True
             raise BadArguments("Transfer-Encoding is not supported; send Content-Length")
         value = self.headers.get("content-length") or "0"
-        length = int(value) if value.isascii() and value.isdigit() else -1  # no sign, no "_"
-        if length < 0:
+        if not (value.isascii() and value.isdigit()):  # no sign, no "_"
             # the body's end is unknown, so nothing after it can be read
             self.close_connection = True
             raise BadArguments("Content-Length must be a non-negative integer")
+        digits = value.lstrip("0") or "0"  # more digits than int() converts are too many
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            # the body is left unread, so nothing after it can be read
+            self.close_connection = True
+            raise BodyTooLarge(f"a request body may hold at most {MAX_BODY_BYTES} bytes")
+        length = int(digits)
         try:
             body = self.rfile.read(length) if length else b""
         except TimeoutError:
@@ -232,7 +241,7 @@ class _Handler:
         parsed = urllib.parse.urlsplit(self.path)
         try:  # a ConnectionError here is a client gone: handle_error drops it
             body = self._read_body()
-        except BadArguments as exc:
+        except (BadArguments, BodyTooLarge) as exc:
             return self._send(*_envelope(exc))
         try:
             for pattern, op in self.server.routes.get(method, ()):

@@ -30,6 +30,7 @@ from objrepo.errors import (
 from objrepo.kernel import (
     BLOB_MIN_BYTES,
     PRIMITIVE_TARGET,
+    RECORD_VERSION,
     DigitalObjectKernel,
     DisseminatorKind,
     deserialize_object,
@@ -601,14 +602,21 @@ def test_storage_record_names_large_bodies_by_hash_and_round_trips(stub_resolver
     obj.create_datastream("application/octet-stream", big)
     record = obj.storage_record()
     assert obj.blobs() == {sha256_hex(big): big}
-    assert record.count(b'"sha256":') == 1 and record.count(b'"content_b64":') == 2
-    twin = load_record(record, obj.blobs().__getitem__)
+    header, newline, tail = record.partition(b"\n")
+    doc = json.loads(header)
+    assert doc["version"] == RECORD_VERSION
+    assert doc["datastreams"] == [
+        {"id": ds.id, "length": len(ds.content), "mime": ds.mime, "sha256": sha256_hex(ds.content)}
+        for ds in obj.datastreams
+    ]
+    assert tail == b"".join(ds.content for ds in obj.datastreams[:2])  # the small bodies, raw
+    twin, version = load_record(record, obj.blobs().__getitem__)
+    assert version == RECORD_VERSION
     assert twin == obj and twin.serialize() == obj.serialize()
-    doc = json.loads(record)
-    doc["datastreams"][0]["sha256"] = sha256_hex(big)  # both forms at once
+    doc["datastreams"][0]["content_b64"] = ""  # a body both named and inline
     doc["digest"] = sha256_hex(canonical_bytes(dict(doc, digest="")))
     with pytest.raises(MalformedManifest):
-        load_record(canonical_bytes(doc), obj.blobs().__getitem__)
+        load_record(canonical_bytes(doc) + newline + tail, obj.blobs().__getitem__)
 
 
 def test_id_monotonicity_preserved_across_round_trip(stub_resolver):

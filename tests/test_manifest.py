@@ -259,11 +259,12 @@ def hostile_manifests(draw, bases=BASES) -> bytes:
         chunk = draw(st.sampled_from([b'"', b"\\", b"=", b"\\ud800", b"\x7f", b"\xc3", b"\x00"])
                      | st.binary(min_size=1, max_size=4))
         return base[:at] + chunk + base[at:]
-    doc = json.loads(base)
+    header, newline, bodies = base.partition(b"\n")  # a record's raw bodies follow its header
+    doc = json.loads(header)
     draw(mutate_json(doc))
     if draw(st.booleans()):  # re-seal, so the shape checks are reached
         doc["digest"] = sha256_hex(canonical_bytes(dict(doc, digest="")))
-    return canonical_bytes(doc)
+    return canonical_bytes(doc) + newline + bodies
 
 
 def _tree(root: Path) -> dict:
@@ -283,8 +284,10 @@ DECODERS = {
 def test_hostile_manifest_verdicts(case, draws):
     bases, decode = DECODERS[case]
     data = draws.draw(hostile_manifests(bases))
+    # a record's digest seals its header, which ends at the first newline
+    document = data.partition(b"\n")[0] if case == "record" else data
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(document.decode("utf-8"))
     except ValueError:
         doc = None
     expected = None

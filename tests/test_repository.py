@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import errno
 import json
 import shutil
@@ -32,7 +33,13 @@ from objrepo.errors import (
     NotRegistered,
     TargetUnreachable,
 )
-from objrepo.kernel import BLOB_MIN_BYTES, PRIMITIVE_TARGET, DigitalObjectKernel, deserialize_object
+from objrepo.kernel import (
+    BLOB_MIN_BYTES,
+    PRIMITIVE_TARGET,
+    RECORD_VERSION,
+    DigitalObjectKernel,
+    deserialize_object,
+)
 from objrepo.naming import NamingService, load_naming_config
 from objrepo.repository import ObjectStore, Repository, RepositoryConfig, load_repository_config
 
@@ -452,6 +459,11 @@ def blob_of(repo: Repository, name: str, ds_id: str) -> Path:
     return repo.store.blob_path(sha256)
 
 
+def record_version(path: Path) -> str:
+    """The version its header gives a stored record."""
+    return json.loads(path.read_bytes().partition(b"\n")[0])["version"]
+
+
 def quarantined(repo: Repository) -> list[str]:
     """What the quarantine holds, each file by the name it was filed under."""
     return sorted(q.name.rsplit(".", 1)[0] for q in repo.store.quarantine_dir.iterdir())
@@ -527,8 +539,9 @@ def test_a_record_that_is_not_its_objects_encoding_is_quarantined_with_its_blob(
     ds = repo.run(bad, "create_datastream", "text/plain", large(b"only the bad record names this"))
     blob = blob_of(repo, bad, ds)
     path = repo.store.path_for(bad)
-    # the same document, so its digest still verifies, in other bytes
-    path.write_bytes(json.dumps(json.loads(path.read_bytes()), indent=1).encode())
+    # the same header, so its digest still verifies, in other bytes
+    header, newline, bodies = path.read_bytes().partition(b"\n")
+    path.write_bytes(json.dumps(json.loads(header)).encode() + newline + bodies)
     reborn = restart_repo(fed, 0)
     assert reborn.contains(good) and not reborn.contains(bad)
     assert quarantined(reborn) == sorted([path.name, blob.name])
@@ -656,7 +669,7 @@ def test_an_old_format_root_loads_serves_the_same_manifests_and_is_converted(tmp
     assert quarantined(reborn) == []
     assert {name: reborn.store.read_bytes(name) for name in reborn.names()} == manifests
     for name in manifests:
-        assert reborn.store.path_for(name).read_bytes().endswith(b'"version":"objrepo-record-1"}')
+        assert record_version(reborn.store.path_for(name)) == RECORD_VERSION
     assert stored_blobs(reborn) == {blob_of(reborn, names[1], "DS4").name}
     mime, data = fed.client(0).get_dissemination(
         names[0], fed.types["type-dc"], "getDCField", {"field": "Title"}, "alice"
@@ -686,6 +699,99 @@ def test_set_access_manager_writes_only_the_objects_record(federation, monkeypat
     assert written == [repo.store.path_for(name)]
     assert {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
             for p in repo.store.blobs_dir.iterdir()} == before
+
+
+def test_a_write_of_a_deposited_object_base64_encodes_no_body(federation, monkeypatch):
+    repo = federation.repos[0]
+    handle = repo.create_object()
+    repo.run(handle, "create_datastream", "application/x-marc-lines", MARC_FIXTURE, staged=True)
+    encoded = []
+    b64encode = base64.b64encode
+    monkeypatch.setattr(base64, "b64encode", lambda data: encoded.append(data) or b64encode(data))
+    name = repo.deposit(handle)
+    repo.run(name, "create_datastream", "text/plain", b"a small body, kept in the record")
+    repo.run(name, "create_datastream", "image/gif", large(b"GIF89a"))
+    assert encoded == []
+    assert record_version(repo.store.path_for(name)) == RECORD_VERSION
+    assert repo.store.path_for(name).read_bytes().endswith(b"a small body, kept in the record")
+
+
+DAMAGE = {
+    "a flipped byte in a body": lambda data: flip(data, data.index(b"\n") + 5),
+    "a truncated tail": lambda data: data[:-1],
+    "extra trailing bytes": lambda data: data + b"\n",
+    "a flipped byte in the header": lambda data: flip(data, data.index(b"x-marc-lines")),
+}
+
+
+def flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_record_is_quarantined_with_the_blobs_only_it_names(tmp_path, damage):
+    fed = make_federation(tmp_path)
+    good, bad = build_marc_object(fed), build_marc_object(fed)
+    repo = fed.repos[0]
+    for name in (good, bad):
+        repo.run(name, "create_datastream", "text/plain", large(b"held by both"))
+    ds = repo.run(bad, "create_datastream", "text/plain", large(b"only the bad record names this"))
+    own, shared = blob_of(repo, bad, ds), blob_of(repo, bad, "DS3")
+    path = repo.store.path_for(bad)
+    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    reborn = restart_repo(fed, 0)
+    assert reborn.contains(good) and not reborn.contains(bad)
+    assert quarantined(reborn) == sorted([path.name, own.name])
+    assert shared.exists() and reborn.store.read_bytes(good) == repo.store.read_bytes(good)
+
+
+def test_the_bytes_of_a_body_do_not_change_how_its_record_loads(federation):
+    repo = federation.repos[0]
+    name = build_marc_object(federation)
+    orphan = repo.store.blob_path(sha256_hex(b"no record names this"))
+    bodies = [
+        b'{"sha256":"%s"}' % orphan.name.encode(),
+        b'{"version":"objrepo-manifest-1"}',  # how a manifest ends, last in the file
+    ]
+    for body in bodies:
+        repo.run(name, "create_datastream", "application/json", body)
+    assert repo.store.path_for(name).read_bytes().endswith(bodies[-1])
+    manifest = repo.store.read_bytes(name)
+    orphan.write_bytes(b"no record names this")
+    reborn = restart_repo(federation, 0)
+    assert quarantined(reborn) == [] and reborn.store.read_bytes(name) == manifest
+    assert not orphan.exists()  # swept as unnamed: a body pins no blob
+    assert record_version(reborn.store.path_for(name)) == RECORD_VERSION
+
+
+FIXTURE_ROOTS = Path(__file__).parent / "fixtures" / "roots"
+
+
+def files_of(root: Path) -> dict:
+    """path -> (bytes, mtime) of every file under ``root``."""
+    return {p.relative_to(root): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("version", ["objrepo-manifest-1", "objrepo-record-1", RECORD_VERSION])
+def test_a_pinned_root_of_each_format_loads_and_is_converted_once(tmp_path, version):
+    """The roots under tests/fixtures/roots were written by the objrepo of
+    each store format (scripts/make_fixture_roots.py); each is loaded from a
+    copy, so the committed files never change."""
+    root = shutil.copytree(FIXTURE_ROOTS / version, tmp_path / version)
+    pinned = json.loads((root / "digests.json").read_bytes())
+    before = files_of(root)
+    store = ObjectStore(root)
+    objects = store.load_all()
+    assert list(store.quarantine_dir.iterdir()) == []
+    after = files_of(root)
+    assert before.keys() <= after.keys()  # nothing removed
+    assert {name: json.loads(obj.serialize())["digest"] for name, obj in objects.items()} == pinned
+    assert {record_version(path) for path in store.objects_dir.iterdir()} == {RECORD_VERSION}
+    if version == RECORD_VERSION:
+        assert after == before
+    ObjectStore(root).load_all()
+    assert files_of(root) == after
 
 
 def test_empty_root_is_empty_store(tmp_path):

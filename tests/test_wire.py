@@ -55,6 +55,7 @@ from objrepo.errors import (
 from objrepo.kernel import PRIMITIVE_TARGET
 from objrepo.naming import NamingConfig, NamingService
 from objrepo.wire import (
+    MAX_BODY_BYTES,
     NAMING_ROUTES,
     NamingClient,
     RepositoryClient,
@@ -441,6 +442,24 @@ def test_malformed_content_length_gets_envelope_and_close(wire_federation, lengt
     assert doc["error"] == "BAD_ARGUMENTS"
 
 
+@pytest.mark.parametrize("args, kwargs, problem", [
+    (("h",), {}, "missing"),
+    (("h", "text/plain", b"x"), {"colour": "red"}, "unexpected keyword argument 'colour'"),
+    (("h", "text/plain", b"x"), {"mime": "text/plain"}, "multiple values for argument 'mime'"),
+    (("h", "text/plain", b"x", "alice", "extra"), {}, "positional arguments"),
+])
+def test_a_client_call_is_bound_like_a_method_call(args, kwargs, problem):
+    """A row's client method takes its arguments as a plain method would,
+    and a call it refuses sends nothing."""
+
+    class Unsent(RepositoryClient):
+        def _call(self, op, values):
+            raise AssertionError(f"sent {op.name}{values}")
+
+    with pytest.raises(TypeError, match=problem):
+        Unsent("127.0.0.1:1").add_datastream(*args, **kwargs)
+
+
 def test_protocol_doc_routes_match_operation_table():
     """Every route in docs/protocol.md is a row of the table, and back."""
     doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
@@ -721,6 +740,19 @@ def test_transfer_encoding_is_refused_before_the_body(naming_server):
     assert doc["error"] == "BAD_ARGUMENTS"
     with pytest.raises(NotRegistered):
         service.resolve("urn:x:smuggled")
+
+
+@pytest.mark.parametrize("length", [str(MAX_BODY_BYTES + 1), "1099511627776", "9" * 5000])
+def test_an_oversized_body_is_refused_unread_with_413_and_close(naming_server, length):
+    server, service = naming_server
+    request = (f"PUT /names/urn%3Ax%3Abig HTTP/1.1\r\nHost: x\r\n"
+               f"Content-Length: {length}\r\n\r\n").encode()
+    head, doc = _envelope_of(_raw_exchange(server.endpoint, request))
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in head
+    assert doc["error"] == "BODY_TOO_LARGE"
+    with pytest.raises(NotRegistered):
+        service.resolve("urn:x:big")
 
 
 def test_stalled_body_gets_envelope_and_close(naming_server, monkeypatch):
