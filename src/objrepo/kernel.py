@@ -619,9 +619,10 @@ def load_record(data: bytes, blob) -> tuple[DigitalObjectKernel, str]:
     doc = shape.load(head, MalformedManifest, "record")
     version = doc.get("version") if isinstance(doc, dict) else None
     if version == MANIFEST_VERSION:
-        return _decode(doc, data, _MANIFEST, "manifest", DigitalObjectKernel.serialize), version
+        return deserialize_object(data), version
     if version == _RECORD_1:
-        return _decode(doc, data, _record_1(blob), "record", _encode_record_1), version
+        encode = partial(DigitalObjectKernel._encode, version=_RECORD_1, stream=_named_if_blob)
+        return _decode(doc, data, _record_1(blob), "record", encode), version
     at = 0
 
     def stream(id, mime, length, sha256):
@@ -658,7 +659,3 @@ def _record_1(blob) -> shape.Check:
         content_b64=shape.optional(_base64),
         sha256=shape.optional(_SHA256),
     ))
-
-
-def _encode_record_1(obj: DigitalObjectKernel) -> bytes:
-    return obj._encode(_RECORD_1, _named_if_blob)

@@ -199,7 +199,7 @@ class _Handler:
             # the body's end is unknown, so nothing after it can be read
             self.close_connection = True
             raise BadArguments("Content-Length must be a non-negative integer")
-        digits = value.lstrip("0") or "0"  # more digits than int() converts are too many
+        digits = value.lstrip("0") or "0"  # a number too long for int() is over the limit too
         if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             # the body is left unread, so nothing after it can be read
             self.close_connection = True
@@ -433,6 +433,9 @@ class _BaseClient:
     ) -> tuple[str, bytes]:
         """Send one request; returns the reply's (Content-Type, body) or
         raises the error its envelope names."""
+        if body is not None and len(body) > MAX_BODY_BYTES:
+            # refused unread, the body would reset the connection mid-send
+            raise BodyTooLarge(f"a request body may hold at most {MAX_BODY_BYTES} bytes")
         headers = {}
         if principal:
             headers["X-Principal"] = principal

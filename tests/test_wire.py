@@ -42,6 +42,7 @@ from objrepo.errors import (
     AlreadyPresent,
     AlreadyRegistered,
     BadArguments,
+    BodyTooLarge,
     DigestMismatch,
     NamingUnavailable,
     NoSuchHandle,
@@ -53,6 +54,7 @@ from objrepo.errors import (
     http_status,
 )
 from objrepo.kernel import PRIMITIVE_TARGET
+from objrepo import wire
 from objrepo.naming import NamingConfig, NamingService
 from objrepo.wire import (
     MAX_BODY_BYTES,
@@ -753,6 +755,21 @@ def test_an_oversized_body_is_refused_unread_with_413_and_close(naming_server, l
     assert doc["error"] == "BODY_TOO_LARGE"
     with pytest.raises(NotRegistered):
         service.resolve("urn:x:big")
+
+
+def test_a_client_refuses_an_oversized_body_before_sending_it(wire_federation, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_BODY_BYTES", 200)
+    fed = wire_federation
+    client = fed.clients[0]
+    handle = client.create_object()
+    with pytest.raises(BodyTooLarge):
+        client.add_datastream(handle, "text/plain", b"x" * 201)
+    client.add_datastream(handle, "text/plain", b"x" * 200)
+    name = client.deposit(handle)
+    with pytest.raises(BodyTooLarge):  # the manifest the source would send is larger
+        client.replicate(name, fed.servers[1].endpoint)
+    assert fed.naming_client.resolve(name) == [fed.servers[0].endpoint]
+    assert not fed.repos[1].contains(name)
 
 
 def test_stalled_body_gets_envelope_and_close(naming_server, monkeypatch):
