@@ -6,12 +6,16 @@
 Builds an in-process federation of two repositories (namespaces
 ``fixture`` and ``elsewhere``), deposits the shipped types and a few
 objects into the first, then writes its state under ``DIR`` (default:
-``tests/fixtures/roots``) twice:
+``tests/fixtures/roots``) three times:
 
 - ``DIR/<record version>/``: the storage root as this tree's
   ``ObjectStore`` writes it (records, and blobs for large bodies);
 - ``DIR/objrepo-manifest-1/``: the one-file layout objrepo stored before
-  blobs, one canonical manifest per object.
+  blobs, one canonical manifest per object;
+- ``DIR/<record version>-appended/``: the storage root after writes of the
+  stored objects, each appended to its object's file, so that every file
+  holds more than one record; one file ends in a torn append, the first
+  part of a record whose write was cut short.
 
 Each root holds a blob shared by two records, an object named in the other
 repository's namespace, an object with access managers on ``PRIMITIVE`` and
@@ -85,6 +89,28 @@ def build(tmp: Path) -> Repository:
     return repos[0]
 
 
+def stored_files(store) -> dict[str, bytes]:
+    """path under the root -> bytes, of every record and blob file."""
+    return {
+        str(path.relative_to(store.root)): path.read_bytes()
+        for directory in (store.objects_dir, store.blobs_dir)
+        for path in sorted(directory.iterdir())
+    }
+
+
+def append_writes(repo: Repository) -> dict[str, bytes]:
+    """The stored files after a write of each object, two of the first, and
+    a third write of it cut short inside its last body."""
+    names = repo.names()
+    for name in [*names, names[0]]:
+        repo.run(name, "create_datastream", "text/plain", f"appended to {name}".encode(),
+                 principal="alice")
+    repo.run(names[0], "create_datastream", "text/plain", b"a write cut short", principal="alice")
+    path = repo.store.path_for(names[0])
+    path.write_bytes(path.read_bytes()[:-7])
+    return stored_files(repo.store)
+
+
 def write_root(target: Path, repo: Repository, files: dict[str, bytes]) -> None:
     """``files`` (path under the root -> bytes) and ``digests.json``."""
     digests = {name: json.loads(repo.store.read_bytes(name))["digest"] for name in repo.names()}
@@ -102,23 +128,22 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         repo = build(Path(tmp))
         store = repo.store
+        # each made only if its root is missing, and in this order: the
+        # appended root's writes come after the other roots are written
         layouts = {
-            RECORD_VERSION: {
-                str(path.relative_to(store.root)): path.read_bytes()
-                for directory in (store.objects_dir, store.blobs_dir)
-                for path in sorted(directory.iterdir())
-            },
-            MANIFEST_VERSION: {
+            RECORD_VERSION: lambda: stored_files(store),
+            MANIFEST_VERSION: lambda: {
                 str(store.path_for(name).relative_to(store.root)): store.read_bytes(name)
                 for name in repo.names()
             },
+            f"{RECORD_VERSION}-appended": lambda: append_writes(repo),
         }
         for version, files in layouts.items():
             target = args.out / version
             if target.exists():
                 print(f"kept {target}")
                 continue
-            write_root(target, repo, files)
+            write_root(target, repo, files())
     return 0
 
 

@@ -641,6 +641,40 @@ def load_record(data: bytes, blob) -> tuple[DigitalObjectKernel, str]:
     return obj, RECORD_VERSION
 
 
+def split_records(data: bytes) -> tuple[list[bytes], bytes, bool]:
+    """The whole records in ``data``, a store file of ``objrepo-record-2``
+    records one after another (a file in an older format is one record, with
+    no newline), oldest first; the bytes after the last; and whether those
+    are a torn append, a proper prefix of a record: a header cut before its
+    newline, or a sealed header declaring more body bytes than follow."""
+    if b"\n" not in data:
+        return [data], b"", False
+    records, at = [], 0
+    while (end := _record_end(data, at)) is not None and end <= len(data):
+        records.append(data[at:end])
+        at = end
+    rest = data[at:]
+    return records, rest, end is not None or (b"\n" not in rest and rest.startswith(b"{"))
+
+
+def _record_end(data: bytes, at: int) -> int | None:
+    """Where the record that starts at ``at`` ends, by the inline body
+    lengths its header declares; None if no header sealed by its own
+    digest is there."""
+    newline = data.find(b"\n", at)
+    if newline < 0:
+        return None
+    try:
+        doc = shape.load(data[at:newline], MalformedManifest, "record")
+        _check_digest(doc, "record")
+        lengths = [entry["length"] for entry in doc["datastreams"]]
+    except (MalformedManifest, DigestMismatch, TypeError, KeyError):
+        return None
+    if not all(type(n) is int and n >= 0 for n in lengths):
+        return None
+    return newline + 1 + sum(n for n in lengths if n < BLOB_MIN_BYTES)
+
+
 def _record_1(blob) -> shape.Check:
     """The schema of an ``objrepo-record-1`` record: a manifest whose large
     stream bodies are named by hash, as ``blob(sha256)`` reads them."""

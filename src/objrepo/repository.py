@@ -45,12 +45,14 @@ from .errors import (
 )
 from .canonical import sha256_hex
 from .kernel import (
+    BLOB_MIN_BYTES,
     PRIMITIVE_TARGET,
     PRIMITIVES,
     RECORD_VERSION,
     DigitalObjectKernel,
     deserialize_object,
     load_record,
+    split_records,
 )
 from .typesys import ContentTypeResolver
 
@@ -92,16 +94,19 @@ def encode_name(name: str) -> str:
 
 
 class ObjectStore:
-    """One storage record per deposited object, as ``objects/<encoded
-    name>.json`` (a JSON header, then its small bodies raw), and each
-    distinct large stream body once, as ``blobs/<sha256>``
-    (:data:`~objrepo.kernel.BLOB_MIN_BYTES`).
+    """Per deposited object, ``objects/<encoded name>.json``: its storage
+    records (a JSON header, then its small bodies raw) one after another,
+    the last one live; and each distinct large stream body once, as
+    ``blobs/<sha256>`` (:data:`~objrepo.kernel.BLOB_MIN_BYTES`).
 
-    Every file is written to a temp file and renamed into place, the blobs an
-    object adds before its record. A blob is kept while a record names it:
-    each save pins the blobs it names before it looks for them on disk, and a
-    blob is removed only when its last pin goes, so a concurrent delete never
-    takes a blob from under a record being written."""
+    A write of a stored object appends its record to the object's file,
+    unless the bytes it would leave dead exceed both the record and
+    ``BLOB_MIN_BYTES``. Every other write, the blobs an object adds before
+    its record, goes to a temp file renamed into place. A blob is kept
+    while a live record names it: each save pins the blobs it names before
+    it looks for them on disk, and a blob is removed only when its last pin
+    goes, so a concurrent delete never takes a blob from under a record
+    being written."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -113,6 +118,7 @@ class ObjectStore:
         self._lock = threading.Lock()
         self._pins: Counter[str] = Counter()  # blob -> records that name it, and saves under way
         self._named: dict[str, frozenset[str]] = {}  # object name -> blobs its record names
+        self._sizes: dict[str, int] = {}  # object name -> bytes in its file, as last written
 
     def path_for(self, name: str) -> Path:
         return self.objects_dir / (encode_name(name) + ".json")
@@ -120,8 +126,12 @@ class ObjectStore:
     def blob_path(self, sha256: str) -> Path:
         return self.blobs_dir / sha256
 
-    def save_bytes(self, path: Path, data: bytes) -> None:
-        """Write one file of the store: a temp file beside ``path``, renamed over it."""
+    def save_bytes(self, path: Path, data: bytes, append: bool = False) -> None:
+        """Write one file of the store: append to it, or write a temp file renamed over it."""
+        if append:
+            with path.open("ab") as file:
+                file.write(data)
+            return
         tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
         try:
             tmp.write_bytes(data)
@@ -135,30 +145,37 @@ class ObjectStore:
         that no record names any more are removed."""
         bodies = obj.blobs()
         named = frozenset(bodies)
+        record = obj.storage_record()
+        size = self._sizes.get(obj.name)
+        append = size is not None and size <= max(len(record), BLOB_MIN_BYTES)
         self._pin(named)
         try:
             for sha256, content in bodies.items():
                 path = self.blob_path(sha256)
                 if not path.exists():  # a pinned blob on disk stays there
                     self.save_bytes(path, content)
-            self.save_bytes(self.path_for(obj.name), obj.storage_record())
+            self.save_bytes(self.path_for(obj.name), record, append=append)
         except BaseException:
+            self._sizes.pop(obj.name, None)  # the next write replaces what this one left
             self._unpin(named)
             raise
         with self._lock:
             before = self._named.get(obj.name, frozenset())
             self._named[obj.name] = named
+            self._sizes[obj.name] = size + len(record) if append else len(record)
         self._unpin(before)
 
     def read_bytes(self, name: str) -> bytes:
-        """The canonical manifest of the stored object, rebuilt from its record and blobs."""
-        obj, _ = load_record(self.path_for(name).read_bytes(), self._read_blob)
+        """The canonical manifest of the stored object, from its last record and blobs."""
+        records, _, _ = split_records(self.path_for(name).read_bytes())
+        obj, _ = load_record(records[-1], self._read_blob)
         return obj.serialize()
 
     def delete(self, name: str) -> None:
         self.path_for(name).unlink(missing_ok=True)
         with self._lock:
             named = self._named.pop(name, frozenset())
+            self._sizes.pop(name, None)
         self._unpin(named)
 
     def quarantine(self, path: Path, why) -> None:
@@ -191,33 +208,41 @@ class ObjectStore:
         return data
 
     def load_all(self) -> dict[str, DigitalObjectKernel]:
-        """Verify and load every record, each blob read and hashed once.
+        """Verify and load the last whole record of every object's file,
+        each blob read and hashed once; bytes after it are dropped only as a
+        torn append (:func:`~objrepo.kernel.split_records`).
 
-        A record that does not verify, is filed under another name, or names
-        a blob that is missing or does not match its hash is quarantined,
-        never served; so is every blob that only quarantined records name,
-        as their headers name them. Other blobs no record names, and temp
-        files a crash left, are removed. A record in an older format (a
-        manifest of the one-file layout objrepo stored before blobs, or an
-        ``objrepo-record-1`` record) is converted in place: its blobs are
-        written, then its record is renamed over it."""
+        A file with other bytes after its last record, or whose last record
+        does not verify, is filed under another name, or names a blob that
+        is missing or does not match its hash, is quarantined, never served
+        or rolled back; so is every blob that only quarantined files name,
+        as their record headers name them. Other blobs no record names, and
+        temp files a crash left, are removed. A file holding more than one
+        record, or one in an older format (a manifest of the one-file layout
+        objrepo stored before blobs, or an ``objrepo-record-1`` record), is
+        rewritten: its blobs are written, then its record is renamed over it."""
         blob = cache(self._read_blob)  # a blob that does not verify is not cached
         objects: dict[str, DigitalObjectKernel] = {}
         suspect: set[str] = set()
         for path in sorted(self.objects_dir.glob("*.json")):
             data = path.read_bytes()
+            records, rest, torn = split_records(data)
             try:
-                obj, version = load_record(data, blob)
+                if records and rest and not torn:
+                    raise MalformedManifest("bytes after its last record are not a torn append")
+                # with no whole record, the file is refused for what is wrong with it
+                obj, version = load_record(records[-1] if records else data, blob)
                 if encode_name(obj.name) + ".json" != path.name:
                     raise MalformedManifest(f"object {obj.name} is not filed under its name")
             except (MalformedManifest, DigestMismatch) as exc:
-                # the header ends at the first newline; no body comes before it
-                header = data.partition(b"\n")[0]
-                suspect.update(ref.decode("ascii") for ref in _BLOB_REF.findall(header))
+                # each header ends at its first newline; no body comes before it
+                for header in (r.partition(b"\n")[0] for r in (*records, rest)):
+                    suspect.update(ref.decode("ascii") for ref in _BLOB_REF.findall(header))
                 self.quarantine(path, exc)
                 continue
-            if version == RECORD_VERSION:
+            if version == RECORD_VERSION and len(records[-1]) == len(data):
                 self._named[obj.name] = named = frozenset(obj.blobs())
+                self._sizes[obj.name] = len(data)
                 self._pin(named)
             else:
                 self.save(obj)

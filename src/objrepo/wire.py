@@ -106,6 +106,9 @@ _MAX_LINE, _MAX_HEADERS = 65536, 100
 #: the largest request body a server reads: a 16 MB datastream and the 22 MB
 #: manifest that replicating an object holding it sends fit, with room
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: after a refusal that leaves a request body unread, the most bytes the
+#: server reads and discards, and for how many seconds, before it closes
+_LINGER_BYTES, _LINGER_SECONDS = 2 * MAX_BODY_BYTES, 5.0
 #: the request headers the protocol reads; every other one is skipped
 _HEADERS_READ = {"content-length", "content-type", "x-principal", "connection", "transfer-encoding"}
 _VERBS = {"GET", "POST", "PUT", "DELETE"}
@@ -237,12 +240,26 @@ class _Handler:
         except (BrokenPipeError, ConnectionResetError):  # client went away
             self.close_connection = True
 
+    def _linger(self) -> None:
+        """Shut the write side, then discard what the client still sends,
+        within the bounds: closed with unread bytes, the connection would be
+        reset, and a client still sending its body would lose the reply."""
+        deadline, left = time.monotonic() + _LINGER_SECONDS, _LINGER_BYTES
+        with contextlib.suppress(OSError):  # a timeout, or the client gone
+            self.connection.shutdown(socket.SHUT_WR)
+            while left > 0 and (wait := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(wait)
+                if not (chunk := self.rfile.read1(min(left, 65536))):
+                    return
+                left -= len(chunk)
+
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)
         try:  # a ConnectionError here is a client gone: handle_error drops it
             body = self._read_body()
         except (BadArguments, BodyTooLarge) as exc:
-            return self._send(*_envelope(exc))
+            self._send(*_envelope(exc))
+            return self._linger()
         try:
             for pattern, op in self.server.routes.get(method, ()):
                 match = pattern.match(parsed.path)

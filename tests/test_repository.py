@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import base64
 import errno
+import io
 import json
+import os
 import shutil
 import sys
 import threading
@@ -39,6 +41,7 @@ from objrepo.kernel import (
     RECORD_VERSION,
     DigitalObjectKernel,
     deserialize_object,
+    split_records,
 )
 from objrepo.naming import NamingService, load_naming_config
 from objrepo.repository import ObjectStore, Repository, RepositoryConfig, load_repository_config
@@ -538,6 +541,7 @@ def test_a_record_that_is_not_its_objects_encoding_is_quarantined_with_its_blob(
     repo = fed.repos[0]
     ds = repo.run(bad, "create_datastream", "text/plain", large(b"only the bad record names this"))
     blob = blob_of(repo, bad, ds)
+    repo = restart_repo(fed, 0)  # each file holds one record, as at its first write
     path = repo.store.path_for(bad)
     # the same header, so its digest still verifies, in other bytes
     header, newline, bodies = path.read_bytes().partition(b"\n")
@@ -689,9 +693,9 @@ def test_set_access_manager_writes_only_the_objects_record(federation, monkeypat
     written = []
     save_bytes = repo.store.save_bytes
 
-    def spy(path, data):
+    def spy(path, data, **how):
         written.append(path)
-        save_bytes(path, data)
+        save_bytes(path, data, **how)
 
     monkeypatch.setattr(repo.store, "save_bytes", spy)
     diss = repo.run(name, "get_disseminators")[0]["id"]
@@ -737,12 +741,144 @@ def test_a_damaged_record_is_quarantined_with_the_blobs_only_it_names(tmp_path, 
         repo.run(name, "create_datastream", "text/plain", large(b"held by both"))
     ds = repo.run(bad, "create_datastream", "text/plain", large(b"only the bad record names this"))
     own, shared = blob_of(repo, bad, ds), blob_of(repo, bad, "DS3")
+    repo = restart_repo(fed, 0)  # each file holds one record, as at its first write
     path = repo.store.path_for(bad)
     path.write_bytes(DAMAGE[damage](path.read_bytes()))
     reborn = restart_repo(fed, 0)
     assert reborn.contains(good) and not reborn.contains(bad)
     assert quarantined(reborn) == sorted([path.name, own.name])
     assert shared.exists() and reborn.store.read_bytes(good) == repo.store.read_bytes(good)
+
+
+def records_in(path: Path) -> list[bytes]:
+    """The whole records a store file holds, oldest first."""
+    return split_records(path.read_bytes())[0]
+
+
+def test_a_write_of_a_deposited_object_appends_its_record(federation, monkeypatch):
+    repo = federation.repos[0]
+    name = build_marc_object(federation)
+    path = repo.store.path_for(name)
+    before, inode = path.read_bytes(), path.stat().st_ino
+    renamed, opened = [], []
+    replace, io_open = os.replace, io.open
+    monkeypatch.setattr(os, "replace", lambda *a: renamed.append(a) or replace(*a))
+    monkeypatch.setattr(io, "open", lambda f, *a, **k: opened.append(f) or io_open(f, *a, **k))
+    repo.run(name, "set_access_manager", PRIMITIVE_TARGET, federation.types["acl-v1"],
+             {"acl": ["DS2"]})
+    monkeypatch.undo()
+    assert renamed == [] and not any(str(f).endswith(".tmp") for f in opened)
+    assert path.stat().st_ino == inode
+    data = path.read_bytes()
+    assert data.startswith(before) and records_in(path) == [before, data[len(before):]]
+    assert repo.store.read_bytes(name) == repo._version(name).serialize()
+
+
+def test_a_restart_leaves_one_record_per_file_and_a_second_rewrites_nothing(tmp_path):
+    fed = make_federation(tmp_path)
+    name = build_marc_object(fed)
+    fed.repos[0].run(name, "create_datastream", "text/plain", b"a second version")
+    fed.repos[0].run(name, "set_access_manager", PRIMITIVE_TARGET, fed.types["acl-v1"],
+                     {"acl": ["DS2"]})
+    path = fed.repos[0].store.path_for(name)
+    digest = manifest_digest(fed.repos[0], name)
+    assert len(records_in(path)) == 3
+    reborn = restart_repo(fed, 0)
+    assert quarantined(reborn) == [] and manifest_digest(reborn, name) == digest
+    assert records_in(path) == [path.read_bytes()]
+    after = files_of(reborn.store.root)
+    again = restart_repo(fed, 0)
+    assert files_of(again.store.root) == after
+    assert manifest_digest(again, name) == digest
+
+
+#: where an append is cut short: inside the header, or inside a body
+TORN = {
+    "in its header": lambda record: record[:record.index(b"\n") // 2],
+    "in a body": lambda record: record[:-3],
+}
+
+
+@pytest.mark.parametrize("torn", TORN)
+def test_a_torn_append_serves_the_previous_version_and_is_dropped_at_load(tmp_path, torn):
+    fed = make_federation(tmp_path)
+    name = build_marc_object(fed)
+    repo = fed.repos[0]
+    path = repo.store.path_for(name)
+    stored, manifest = path.read_bytes(), repo.store.read_bytes(name)
+    repo.run(name, "create_datastream", "text/plain", b"the body of a write cut short")
+    appended = path.read_bytes()[len(stored):]
+    path.write_bytes(stored + TORN[torn](appended))
+    reborn = restart_repo(fed, 0)
+    assert quarantined(reborn) == []
+    assert reborn.store.read_bytes(name) == manifest
+    assert path.read_bytes() == stored
+
+
+def test_the_write_after_a_failed_append_rewrites_the_file(tmp_path, monkeypatch):
+    fed = make_federation(tmp_path)
+    name = build_marc_object(fed)
+    repo = fed.repos[0]
+    save_bytes = repo.store.save_bytes
+
+    def cut_short(path, data, append=False):
+        save_bytes(path, data[:len(data) // 2], append=append)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(repo.store, "save_bytes", cut_short)
+    with pytest.raises(OSError):
+        repo.run(name, "create_datastream", "text/plain", b"never stored")
+    monkeypatch.undo()
+    repo.run(name, "create_datastream", "text/plain", b"stored")
+    path = repo.store.path_for(name)
+    assert records_in(path) == [path.read_bytes()]
+    reborn = restart_repo(fed, 0)
+    assert quarantined(reborn) == []
+    assert reborn.run(name, "get_datastream_content", "DS3") == ("text/plain", b"stored")
+
+
+#: damage to the last of two records, given the file and where that record starts
+LAST_RECORD_DAMAGE = {
+    "a flipped byte in its header": lambda data, at: flip(data, data.index(b"text/plain", at)),
+    "a flipped byte in its body": lambda data, at: flip(data, len(data) - 5),
+    # cut short, but not a torn append: its header does not verify
+    "a flipped byte in its header, and cut short": lambda data, at: flip(
+        data, data.index(b"text/plain", at))[:-3],
+}
+
+
+@pytest.mark.parametrize("damage", LAST_RECORD_DAMAGE)
+def test_a_damaged_last_record_quarantines_the_object(tmp_path, damage):
+    """An older record is never served in place of a last one that does not verify."""
+    fed = make_federation(tmp_path)
+    name = build_marc_object(fed)
+    repo = fed.repos[0]
+    repo.run(name, "create_datastream", "text/plain", b"the last version's own body")
+    path = repo.store.path_for(name)
+    data = path.read_bytes()
+    path.write_bytes(LAST_RECORD_DAMAGE[damage](data, len(data) - len(records_in(path)[-1])))
+    reborn = restart_repo(fed, 0)
+    assert not reborn.contains(name) and quarantined(reborn) == [path.name]
+
+
+def test_a_file_whose_dead_bytes_would_exceed_the_threshold_is_rewritten(federation):
+    repo = federation.repos[0]
+    name = build_marc_object(federation)
+    path = repo.store.path_for(name)
+    appends = rewrites = 0
+    while rewrites < 2:
+        before, inode = path.read_bytes(), path.stat().st_ino
+        repo.run(name, "set_access_manager", "DISS1", federation.types["acl-v1"],
+                 {"acl": ["DS2"]})
+        record = records_in(path)[-1]
+        if len(before) > max(len(record), BLOB_MIN_BYTES):
+            assert path.read_bytes() == record and path.stat().st_ino != inode
+            rewrites += 1
+        else:
+            assert path.read_bytes() == before + record and path.stat().st_ino == inode
+            appends += 1
+    assert appends > BLOB_MIN_BYTES // len(record)
+    assert repo.store.read_bytes(name) == repo._version(name).serialize()
 
 
 def test_the_bytes_of_a_body_do_not_change_how_its_record_loads(federation):
@@ -773,14 +909,23 @@ def files_of(root: Path) -> dict:
             for p in root.rglob("*") if p.is_file()}
 
 
-@pytest.mark.parametrize("version", ["objrepo-manifest-1", "objrepo-record-1", RECORD_VERSION])
+APPENDED = f"{RECORD_VERSION}-appended"
+
+
+@pytest.mark.parametrize("version", ["objrepo-manifest-1", "objrepo-record-1", RECORD_VERSION,
+                                     APPENDED])
 def test_a_pinned_root_of_each_format_loads_and_is_converted_once(tmp_path, version):
     """The roots under tests/fixtures/roots were written by the objrepo of
     each store format (scripts/make_fixture_roots.py); each is loaded from a
-    copy, so the committed files never change."""
+    copy, so the committed files never change. In the appended root every
+    object's file holds more than one record, and one ends in a torn append."""
     root = shutil.copytree(FIXTURE_ROOTS / version, tmp_path / version)
     pinned = json.loads((root / "digests.json").read_bytes())
     before = files_of(root)
+    if version == APPENDED:
+        files = [split_records(path.read_bytes()) for path in (root / "objects").iterdir()]
+        assert all(len(records) > 1 for records, _, _ in files)
+        assert sum(torn for _, _, torn in files) == 1
     store = ObjectStore(root)
     objects = store.load_all()
     assert list(store.quarantine_dir.iterdir()) == []
@@ -788,6 +933,7 @@ def test_a_pinned_root_of_each_format_loads_and_is_converted_once(tmp_path, vers
     assert before.keys() <= after.keys()  # nothing removed
     assert {name: json.loads(obj.serialize())["digest"] for name, obj in objects.items()} == pinned
     assert {record_version(path) for path in store.objects_dir.iterdir()} == {RECORD_VERSION}
+    assert all(records_in(path) == [path.read_bytes()] for path in store.objects_dir.iterdir())
     if version == RECORD_VERSION:
         assert after == before
     ObjectStore(root).load_all()

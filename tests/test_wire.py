@@ -757,6 +757,22 @@ def test_an_oversized_body_is_refused_unread_with_413_and_close(naming_server, l
         service.resolve("urn:x:big")
 
 
+def test_a_client_that_sends_an_oversized_body_whole_reads_the_413(naming_server, monkeypatch):
+    """The server lingers: it reads and drops the body it refused, so the
+    connection is not reset while the client is still sending."""
+    monkeypatch.setattr(wire, "MAX_BODY_BYTES", 1000)
+    server, service = naming_server
+    body = b"x" * (4 * 1024 * 1024)
+    request = (f"PUT /names/urn%3Ax%3Abig HTTP/1.1\r\nHost: x\r\n"
+               f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+    head, doc = _envelope_of(_raw_exchange(server.endpoint, request))
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in head
+    assert doc["error"] == "BODY_TOO_LARGE"
+    with pytest.raises(NotRegistered):
+        service.resolve("urn:x:big")
+
+
 def test_a_client_refuses_an_oversized_body_before_sending_it(wire_federation, monkeypatch):
     monkeypatch.setattr(wire, "MAX_BODY_BYTES", 200)
     fed = wire_federation
