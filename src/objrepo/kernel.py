@@ -641,34 +641,33 @@ def load_record(data: bytes, blob) -> tuple[DigitalObjectKernel, str]:
     return obj, RECORD_VERSION
 
 
-def split_records(data: bytes) -> tuple[list[bytes], bytes, bool]:
+def split_records(data: bytes) -> list[bytes]:
     """The whole records in ``data``, a store file of ``objrepo-record-2``
-    records one after another (a file in an older format is one record, with
-    no newline), oldest first; the bytes after the last; and whether those
-    are a torn append, a proper prefix of a record: a header cut before its
-    newline, or a sealed header declaring more body bytes than follow."""
-    if b"\n" not in data:
-        return [data], b"", False
+    records one after another, oldest first. Bytes after the last are
+    dropped only as a torn append, a proper prefix of a record: a header cut
+    before its newline, or a sealed header declaring more body bytes than
+    follow; others are refused. A file with no whole record (one in an older
+    format has no newline) is one record, to be refused for its own faults."""
     records, at = [], 0
     while (end := _record_end(data, at)) is not None and end <= len(data):
         records.append(data[at:end])
         at = end
     rest = data[at:]
-    return records, rest, end is not None or (b"\n" not in rest and rest.startswith(b"{"))
+    if records and rest and end is None and (b"\n" in rest or not rest.startswith(b"{")):
+        raise MalformedManifest("bytes after its last record are not a torn append")
+    return records or [data]
 
 
 def _record_end(data: bytes, at: int) -> int | None:
     """Where the record that starts at ``at`` ends, by the inline body
     lengths its header declares; None if no header sealed by its own
     digest is there."""
-    newline = data.find(b"\n", at)
-    if newline < 0:
-        return None
     try:
+        newline = data.index(b"\n", at)
         doc = shape.load(data[at:newline], MalformedManifest, "record")
         _check_digest(doc, "record")
         lengths = [entry["length"] for entry in doc["datastreams"]]
-    except (MalformedManifest, DigestMismatch, TypeError, KeyError):
+    except (ValueError, MalformedManifest, DigestMismatch, TypeError, KeyError):
         return None
     if not all(type(n) is int and n >= 0 for n in lengths):
         return None

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .canonical import sha256_hex
 from .kernel import (
-    BLOB_MIN_BYTES,
     PRIMITIVE_TARGET,
     PRIMITIVES,
     RECORD_VERSION,
@@ -93,20 +92,24 @@ def encode_name(name: str) -> str:
     return urllib.parse.quote(name, safe="")
 
 
+#: a write appends to an object's file while the bytes it would leave dead stay
+#: within the larger of this and its record, else rewrites the file to its
+#: record alone: so a 1 KB record renames its file once per 64 writes
+COMPACT_MIN_BYTES = 64 * 1024
+
+
 class ObjectStore:
     """Per deposited object, ``objects/<encoded name>.json``: its storage
     records (a JSON header, then its small bodies raw) one after another,
-    the last one live; and each distinct large stream body once, as
+    the last live; and each distinct large stream body once, as
     ``blobs/<sha256>`` (:data:`~objrepo.kernel.BLOB_MIN_BYTES`).
 
-    A write of a stored object appends its record to the object's file,
-    unless the bytes it would leave dead exceed both the record and
-    ``BLOB_MIN_BYTES``. Every other write, the blobs an object adds before
-    its record, goes to a temp file renamed into place. A blob is kept
-    while a live record names it: each save pins the blobs it names before
-    it looks for them on disk, and a blob is removed only when its last pin
-    goes, so a concurrent delete never takes a blob from under a record
-    being written."""
+    A write of a stored object appends its record (:data:`COMPACT_MIN_BYTES`);
+    every other write, the blobs an object adds before its record, goes to a
+    temp file renamed into place. A blob is kept while a live record names
+    it: each save pins the blobs it names before it looks for them on disk,
+    and a blob is removed only when its last pin goes, so a concurrent
+    delete never takes a blob from under a record being written."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -147,7 +150,7 @@ class ObjectStore:
         named = frozenset(bodies)
         record = obj.storage_record()
         size = self._sizes.get(obj.name)
-        append = size is not None and size <= max(len(record), BLOB_MIN_BYTES)
+        append = size is not None and size <= max(len(record), COMPACT_MIN_BYTES)
         self._pin(named)
         try:
             for sha256, content in bodies.items():
@@ -167,8 +170,8 @@ class ObjectStore:
 
     def read_bytes(self, name: str) -> bytes:
         """The canonical manifest of the stored object, from its last record and blobs."""
-        records, _, _ = split_records(self.path_for(name).read_bytes())
-        obj, _ = load_record(records[-1], self._read_blob)
+        record = split_records(self.path_for(name).read_bytes())[-1]
+        obj, _ = load_record(record, self._read_blob)
         return obj.serialize()
 
     def delete(self, name: str) -> None:
@@ -208,39 +211,34 @@ class ObjectStore:
         return data
 
     def load_all(self) -> dict[str, DigitalObjectKernel]:
-        """Verify and load the last whole record of every object's file,
-        each blob read and hashed once; bytes after it are dropped only as a
-        torn append (:func:`~objrepo.kernel.split_records`).
+        """Verify and load the last whole record of every object's file
+        (:func:`~objrepo.kernel.split_records`), each blob read and hashed once.
 
-        A file with other bytes after its last record, or whose last record
-        does not verify, is filed under another name, or names a blob that
-        is missing or does not match its hash, is quarantined, never served
-        or rolled back; so is every blob that only quarantined files name,
-        as their record headers name them. Other blobs no record names, and
-        temp files a crash left, are removed. A file holding more than one
-        record, or one in an older format (a manifest of the one-file layout
+        A file that does not frame, whose last record does not verify, is
+        filed under another name, or names a blob that is missing or does
+        not match its hash, is quarantined, never served or rolled back; so
+        is every blob that only quarantined files name. Other blobs no record
+        names, and temp files a crash left, are removed. A file of more than
+        one record, or in an older format (a manifest of the one-file layout
         objrepo stored before blobs, or an ``objrepo-record-1`` record), is
-        rewritten: its blobs are written, then its record is renamed over it."""
+        rewritten: its blobs are written, then its last record is renamed over it."""
         blob = cache(self._read_blob)  # a blob that does not verify is not cached
         objects: dict[str, DigitalObjectKernel] = {}
         suspect: set[str] = set()
         for path in sorted(self.objects_dir.glob("*.json")):
             data = path.read_bytes()
-            records, rest, torn = split_records(data)
             try:
-                if records and rest and not torn:
-                    raise MalformedManifest("bytes after its last record are not a torn append")
-                # with no whole record, the file is refused for what is wrong with it
-                obj, version = load_record(records[-1] if records else data, blob)
+                record = split_records(data)[-1]
+                obj, version = load_record(record, blob)
                 if encode_name(obj.name) + ".json" != path.name:
                     raise MalformedManifest(f"object {obj.name} is not filed under its name")
             except (MalformedManifest, DigestMismatch) as exc:
-                # each header ends at its first newline; no body comes before it
-                for header in (r.partition(b"\n")[0] for r in (*records, rest)):
-                    suspect.update(ref.decode("ascii") for ref in _BLOB_REF.findall(header))
+                # any record's header may name a blob, and one that does not
+                # frame hides the headers after it: the whole file is searched
+                suspect.update(ref.decode("ascii") for ref in _BLOB_REF.findall(data))
                 self.quarantine(path, exc)
                 continue
-            if version == RECORD_VERSION and len(records[-1]) == len(data):
+            if version == RECORD_VERSION and len(record) == len(data):
                 self._named[obj.name] = named = frozenset(obj.blobs())
                 self._sizes[obj.name] = len(data)
                 self._pin(named)
@@ -257,7 +255,8 @@ class ObjectStore:
         return objects
 
 
-#: a body's hash in a record header that may not parse
+#: a body's hash in a store file that may not parse; one that a body's bytes
+#: happen to match only quarantines a blob no record names, not removes it
 _BLOB_REF = re.compile(rb'"sha256"\s*:\s*"([0-9a-f]{64})"')
 
 

@@ -241,9 +241,8 @@ class _Handler:
             self.close_connection = True
 
     def _linger(self) -> None:
-        """Shut the write side, then discard what the client still sends,
-        within the bounds: closed with unread bytes, the connection would be
-        reset, and a client still sending its body would lose the reply."""
+        """Shut the write side, then discard what the client still sends, within
+        the bounds: closed with bytes unread, the connection would be reset."""
         deadline, left = time.monotonic() + _LINGER_SECONDS, _LINGER_BYTES
         with contextlib.suppress(OSError):  # a timeout, or the client gone
             self.connection.shutdown(socket.SHUT_WR)

@@ -44,7 +44,13 @@ from objrepo.kernel import (
     split_records,
 )
 from objrepo.naming import NamingService, load_naming_config
-from objrepo.repository import ObjectStore, Repository, RepositoryConfig, load_repository_config
+from objrepo.repository import (
+    COMPACT_MIN_BYTES,
+    ObjectStore,
+    Repository,
+    RepositoryConfig,
+    load_repository_config,
+)
 
 
 class InjectedFault(Exception):
@@ -732,7 +738,19 @@ def flip(data: bytes, at: int) -> bytes:
     return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
 
 
-@pytest.mark.parametrize("damage", DAMAGE)
+#: damage to a file of appended records that quarantines it, given the file
+#: and where its last record starts; a header that does not verify hides the
+#: records after it
+APPENDED_DAMAGE = {
+    "appended, a flipped byte in the first header": lambda data, last: flip(
+        data, data.index(b"x-marc-lines")),
+    "appended, a flipped byte in the header before the last": lambda data, last: flip(
+        data, data.rindex(b"x-marc-lines", 0, last)),
+    "appended, extra trailing bytes": lambda data, last: data + b"\n",
+}
+
+
+@pytest.mark.parametrize("damage", [*DAMAGE, *APPENDED_DAMAGE])
 def test_a_damaged_record_is_quarantined_with_the_blobs_only_it_names(tmp_path, damage):
     fed = make_federation(tmp_path)
     good, bad = build_marc_object(fed), build_marc_object(fed)
@@ -741,9 +759,14 @@ def test_a_damaged_record_is_quarantined_with_the_blobs_only_it_names(tmp_path, 
         repo.run(name, "create_datastream", "text/plain", large(b"held by both"))
     ds = repo.run(bad, "create_datastream", "text/plain", large(b"only the bad record names this"))
     own, shared = blob_of(repo, bad, ds), blob_of(repo, bad, "DS3")
-    repo = restart_repo(fed, 0)  # each file holds one record, as at its first write
     path = repo.store.path_for(bad)
-    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    if damage in DAMAGE:
+        repo = restart_repo(fed, 0)  # each file holds one record, as at its first write
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    else:  # of the file's records, only the last names `own`
+        data, records = path.read_bytes(), records_in(path)
+        assert len(records) > 2 and own.name.encode() not in b"".join(records[:-1])
+        path.write_bytes(APPENDED_DAMAGE[damage](data, len(data) - len(records[-1])))
     reborn = restart_repo(fed, 0)
     assert reborn.contains(good) and not reborn.contains(bad)
     assert quarantined(reborn) == sorted([path.name, own.name])
@@ -752,7 +775,7 @@ def test_a_damaged_record_is_quarantined_with_the_blobs_only_it_names(tmp_path, 
 
 def records_in(path: Path) -> list[bytes]:
     """The whole records a store file holds, oldest first."""
-    return split_records(path.read_bytes())[0]
+    return split_records(path.read_bytes())
 
 
 def test_a_write_of_a_deposited_object_appends_its_record(federation, monkeypatch):
@@ -871,13 +894,13 @@ def test_a_file_whose_dead_bytes_would_exceed_the_threshold_is_rewritten(federat
         repo.run(name, "set_access_manager", "DISS1", federation.types["acl-v1"],
                  {"acl": ["DS2"]})
         record = records_in(path)[-1]
-        if len(before) > max(len(record), BLOB_MIN_BYTES):
+        if len(before) > max(len(record), COMPACT_MIN_BYTES):
             assert path.read_bytes() == record and path.stat().st_ino != inode
             rewrites += 1
         else:
             assert path.read_bytes() == before + record and path.stat().st_ino == inode
             appends += 1
-    assert appends > BLOB_MIN_BYTES // len(record)
+    assert appends > COMPACT_MIN_BYTES // len(record)
     assert repo.store.read_bytes(name) == repo._version(name).serialize()
 
 
@@ -923,9 +946,9 @@ def test_a_pinned_root_of_each_format_loads_and_is_converted_once(tmp_path, vers
     pinned = json.loads((root / "digests.json").read_bytes())
     before = files_of(root)
     if version == APPENDED:
-        files = [split_records(path.read_bytes()) for path in (root / "objects").iterdir()]
-        assert all(len(records) > 1 for records, _, _ in files)
-        assert sum(torn for _, _, torn in files) == 1
+        files = [(path.read_bytes(), records_in(path)) for path in (root / "objects").iterdir()]
+        assert all(len(records) > 1 for _, records in files)
+        assert sum(len(data) > len(b"".join(records)) for data, records in files) == 1  # torn
     store = ObjectStore(root)
     objects = store.load_all()
     assert list(store.quarantine_dir.iterdir()) == []
